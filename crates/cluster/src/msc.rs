@@ -534,6 +534,53 @@ mod tests {
         assert!(spectral_embedding_partial(&net, 5, 0).is_err());
     }
 
+    /// ISC's remainder after 7 iterations on paper testbench 1 at seed 19:
+    /// 244 connections among 300 neurons, 164 of them isolated, as flat
+    /// `(from, to)` pairs. Its whitened Laplacian has a block of
+    /// near-zero diagonals (d ≈ 1e-114, e ≈ 6e-114 against ‖T‖ ≈ 2.3)
+    /// that the local QL split test never deflates.
+    const TB1_SEED19_REMAINDER: [usize; 488] = [
+        0, 254, 1, 47, 1, 274, 6, 14, 6, 111, 6, 163, 7, 233, 8, 116, 8, 256, 10, 137, 12, 58, 12,
+        64, 12, 99, 12, 171, 14, 6, 14, 28, 14, 62, 14, 160, 14, 276, 15, 51, 18, 47, 21, 207, 25,
+        30, 27, 238, 28, 14, 28, 151, 28, 192, 28, 249, 30, 25, 30, 261, 32, 76, 32, 138, 32, 280,
+        33, 87, 33, 92, 33, 291, 34, 53, 34, 122, 43, 200, 44, 244, 45, 204, 47, 1, 47, 18, 47, 49,
+        47, 67, 47, 77, 47, 83, 47, 122, 48, 196, 49, 47, 51, 15, 51, 188, 51, 265, 52, 175, 53,
+        34, 56, 135, 56, 222, 56, 258, 57, 88, 58, 12, 60, 66, 62, 14, 62, 233, 64, 12, 64, 175,
+        66, 60, 66, 86, 66, 137, 66, 215, 67, 47, 68, 271, 69, 279, 71, 259, 72, 214, 74, 83, 76,
+        32, 77, 47, 80, 83, 80, 119, 80, 210, 80, 251, 82, 83, 83, 47, 83, 74, 83, 80, 83, 82, 83,
+        188, 83, 219, 86, 66, 86, 200, 87, 33, 87, 92, 88, 57, 90, 93, 90, 115, 90, 219, 90, 235,
+        90, 266, 92, 33, 92, 87, 92, 233, 93, 90, 93, 259, 95, 291, 96, 212, 96, 233, 99, 12, 99,
+        279, 104, 147, 111, 6, 114, 157, 114, 175, 114, 268, 114, 289, 115, 90, 115, 163, 115, 205,
+        116, 8, 119, 80, 121, 280, 122, 34, 122, 47, 124, 259, 131, 268, 132, 284, 134, 150, 134,
+        197, 134, 225, 134, 245, 135, 56, 136, 163, 137, 10, 137, 66, 137, 188, 137, 189, 138, 32,
+        138, 291, 138, 295, 142, 175, 143, 151, 144, 182, 147, 104, 150, 134, 150, 246, 151, 28,
+        151, 143, 156, 271, 157, 114, 160, 14, 161, 205, 163, 6, 163, 115, 163, 136, 164, 233, 171,
+        12, 175, 52, 175, 64, 175, 114, 175, 142, 176, 186, 182, 144, 184, 284, 186, 176, 188, 51,
+        188, 83, 188, 137, 189, 137, 192, 28, 194, 212, 196, 48, 197, 134, 200, 43, 200, 86, 204,
+        45, 204, 223, 204, 286, 205, 115, 205, 161, 207, 21, 210, 80, 212, 96, 212, 194, 212, 215,
+        214, 72, 215, 66, 215, 212, 219, 83, 219, 90, 219, 271, 222, 56, 223, 204, 225, 134, 233,
+        7, 233, 62, 233, 92, 233, 96, 233, 164, 235, 90, 238, 27, 238, 251, 244, 44, 245, 134, 245,
+        246, 246, 150, 246, 245, 249, 28, 251, 80, 251, 238, 253, 260, 254, 0, 256, 8, 258, 56,
+        259, 71, 259, 93, 259, 124, 260, 253, 261, 30, 265, 51, 266, 90, 268, 114, 268, 131, 271,
+        68, 271, 156, 271, 219, 271, 275, 272, 276, 274, 1, 275, 271, 276, 14, 276, 272, 279, 69,
+        279, 99, 280, 32, 280, 121, 280, 291, 284, 132, 284, 184, 286, 204, 289, 114, 291, 33, 291,
+        95, 291, 138, 291, 280, 295, 138,
+    ];
+
+    #[test]
+    fn embedding_converges_on_a_remainder_of_mostly_isolated_neurons() {
+        let pairs = TB1_SEED19_REMAINDER.chunks_exact(2).map(|p| (p[0], p[1]));
+        let net = ConnectionMatrix::from_pairs(300, pairs).unwrap();
+        assert_eq!(net.connections(), 244);
+        let eig = spectral_embedding(&net).unwrap();
+        let values = eig.eigenvalues();
+        // Normalized-Laplacian spectrum: within [0, 2], one zero per
+        // connected component (at least the 164 isolated neurons).
+        assert!(values.iter().all(|v| (-1e-9..=2.0 + 1e-9).contains(v)));
+        assert!(values.iter().filter(|v| v.abs() < 1e-9).count() >= 164);
+        assert!(eig.eigenvectors().as_slice().iter().all(|v| v.is_finite()));
+    }
+
     #[test]
     fn k_equals_n_makes_everything_outliers() {
         let net = ConnectionMatrix::from_pairs(4, [(0, 1), (1, 0), (2, 3), (3, 2)]).unwrap();

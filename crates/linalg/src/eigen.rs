@@ -513,24 +513,32 @@ fn tred2_body(
     }
 }
 
-/// Rows per strip in the `tql2` rotation-replay pass. Load-balance
-/// only: each row receives the identical rotation sequence, so the
-/// strip width cannot affect result bits.
+/// Rows per strip in the `tql2` rotation replay. Each rotation updates
+/// two strip-wide lane vectors of the strip's tile, so this sets the
+/// vector length of the replay's inner loop (and the pool's load
+/// balance). Every row still receives the identical rotation sequence,
+/// so the strip width cannot affect result bits.
 const TQL2_STRIP_GRAIN: usize = 16;
+
+/// One strip of eigenvector rows held column-major: `tile[c][r]` is
+/// column `c` of the strip's row `r`, zero-padded to the full strip
+/// width (padding lanes are never stored back).
+type StripTile = Vec<[f64; TQL2_STRIP_GRAIN]>;
 
 /// Implicit-shift QL iteration on a tridiagonal matrix `(d, e)` with
 /// eigenvector accumulation into `z`.
 ///
-/// Parallel strategy: run the scalar recurrence **once**, serially,
-/// recording every Givens rotation `(i, s, c)` in order; then apply the
-/// whole log to each eigenvector row in one strip pass over `z`. The
-/// rotations touch each row independently (columns `i`/`i+1` of that
-/// row only), so replaying the identical sequence per row is exactly
-/// the serial arithmetic — bit-identical at any thread count — while
-/// the phase structure is one pool dispatch and zero barriers, however
-/// many sweeps QL takes. (The previous shape had every team worker
-/// replay the recurrence privately; the log costs O(rotations) memory
-/// instead of W redundant recurrences.)
+/// The scalar recurrence runs serially and logs its Givens rotations
+/// `(i, s, c)` in order, for a replay over strips of [`TQL2_STRIP_GRAIN`]
+/// rows of `z` ([`rotate_strip`]). A rotation touches each row
+/// independently (columns `i`/`i+1` of that row only), so replaying the
+/// identical sequence per row is exactly the serial arithmetic —
+/// bit-identical at any thread count and on either side of the cutoff.
+/// Above [`eigen_cutoff`] the strips replay the whole log as one pool
+/// dispatch with zero barriers, however many sweeps QL takes. Below it
+/// the strips stay column-major for the whole solve and replay each sweep
+/// as it completes, in a plain loop: no `par.*` events, and no log beyond
+/// one sweep.
 pub(crate) fn tql2(
     z: &mut DenseMatrix,
     d: &mut [f64],
@@ -541,50 +549,103 @@ pub(crate) fn tql2(
         return Ok(0);
     }
     let cols = z.ncols();
+    let strip_len = TQL2_STRIP_GRAIN * cols;
+    let mut log: Vec<(usize, f64, f64)> = Vec::new();
     // Size-only mode decision (matching the tred2 team cutoff), so the
-    // trace counter stream cannot depend on the thread count. Below the
-    // cutoff, skip the log entirely — no allocation on the serial path.
+    // trace counter stream cannot depend on the thread count.
     if eigen_cutoff(n).engages(n) {
-        let mut log: Vec<(usize, f64, f64)> = Vec::new();
-        let sweeps = tql2_kernel(d, e, |i, s, c| log.push((i, s, c)))?;
+        let sweeps = tql2_kernel(d, e, &mut log, |_| {})?;
         // ncs-lint: allow(par-cutoff-discipline) — the eigen_cutoff gate
         // above already proved n large; Cutoff::NONE keeps the replay
         // mode decision size-only (thread-count independent).
         ncs_par::par_chunks_mut(
             z.as_mut_slice(),
-            TQL2_STRIP_GRAIN * cols,
+            strip_len,
             ncs_par::Cutoff::NONE,
             |_, strip| {
-                for row in strip.chunks_mut(cols) {
-                    for &(i, s, c) in &log {
-                        let f = row[i + 1];
-                        row[i + 1] = s * row[i] + c * f;
-                        row[i] = c * row[i] - s * f;
-                    }
-                }
+                let mut tile = load_strip(strip, cols);
+                rotate_strip(&mut tile, &log);
+                store_strip(&tile, strip, cols);
             },
         );
         Ok(sweeps)
     } else {
-        tql2_kernel(d, e, |i, s, c| {
-            for row in z.as_mut_slice().chunks_mut(cols) {
-                let f = row[i + 1];
-                row[i + 1] = s * row[i] + c * f;
-                row[i] = c * row[i] - s * f;
+        let mut tiles: Vec<StripTile> = z
+            .as_slice()
+            .chunks(strip_len)
+            .map(|strip| load_strip(strip, cols))
+            .collect();
+        let sweeps = tql2_kernel(d, e, &mut log, |sweep| {
+            for tile in &mut tiles {
+                rotate_strip(tile, sweep);
             }
-        })
+            sweep.clear();
+        })?;
+        for (strip, tile) in z.as_mut_slice().chunks_mut(strip_len).zip(&tiles) {
+            store_strip(tile, strip, cols);
+        }
+        Ok(sweeps)
     }
 }
 
-/// The scalar QL recurrence, shared verbatim by the serial path and by
-/// every team worker; `rotate(i, s, c)` must apply the Givens rotation
-/// to columns `(i, i + 1)` of whichever eigenvector rows the caller
-/// owns. Returns the total number of QL sweeps performed — a pure
-/// function of the input bits, so every worker computes the same count.
+/// Copies a strip of whole rows of width `cols` into a [`StripTile`].
+fn load_strip(strip: &[f64], cols: usize) -> StripTile {
+    let mut tile = vec![[0.0; TQL2_STRIP_GRAIN]; cols];
+    for (r, row) in strip.chunks_exact(cols).enumerate() {
+        for (lanes, &v) in tile.iter_mut().zip(row) {
+            lanes[r] = v;
+        }
+    }
+    tile
+}
+
+/// Copies a [`StripTile`] back into its strip of rows.
+fn store_strip(tile: &StripTile, strip: &mut [f64], cols: usize) {
+    for (r, row) in strip.chunks_exact_mut(cols).enumerate() {
+        for (lanes, v) in tile.iter().zip(row) {
+            *v = lanes[r];
+        }
+    }
+}
+
+/// Applies Givens rotations, in order, to a strip: each rotation updates
+/// two fixed-width lane vectors (columns `i` and `i + 1` of every row in
+/// the strip), instead of every row replaying the rotations as one
+/// serial chain of dependent updates. Per element the arithmetic is the
+/// row replay's, in the same order.
+// ncs-lint: hot
+fn rotate_strip(tile: &mut StripTile, rotations: &[(usize, f64, f64)]) {
+    for &(i, s, c) in rotations {
+        let (left, right) = tile.split_at_mut(i + 1);
+        let (x, y) = (&mut left[i], &mut right[0]);
+        for k in 0..TQL2_STRIP_GRAIN {
+            let f = y[k];
+            y[k] = s * x[k] + c * f;
+            x[k] = c * x[k] - s * f;
+        }
+    }
+}
+
+/// The scalar QL recurrence: appends every Givens rotation `(i, s, c)`
+/// it performs to `log`, in order, and hands the log to `sweep_done`
+/// after each sweep. Whoever clears the log must first have applied its
+/// rotations to columns `(i, i + 1)` of the eigenvector rows. Returns the
+/// total number of QL sweeps performed — a pure function of the input
+/// bits.
+///
+/// Splitting uses the local test `|e[m]| ≤ ε(|d[m]| + |d[m+1]|)`. Inside
+/// a block of near-zero diagonals that test can never fire (ISC's
+/// remainders with many isolated neurons produce such blocks), so when
+/// an eigenvalue exhausts [`SymmetricEigen::MAX_ITER`] sweeps the split
+/// falls back to EISPACK's norm-relative test `|e[m]| ≤ ε·max_k(|d_k| +
+/// |e_k|)` for the rest of the decomposition, with another `MAX_ITER`
+/// sweeps before failing. Inputs that converge under the local test
+/// never reach the fallback, so their bits are unchanged by it.
 fn tql2_kernel(
     d: &mut [f64],
     e: &mut [f64],
-    mut rotate: impl FnMut(usize, f64, f64),
+    log: &mut Vec<(usize, f64, f64)>,
+    mut sweep_done: impl FnMut(&mut Vec<(usize, f64, f64)>),
 ) -> Result<usize, LinalgError> {
     let n = d.len();
     for i in 1..n {
@@ -592,6 +653,8 @@ fn tql2_kernel(
     }
     e[n - 1] = 0.0;
     let mut sweeps = 0;
+    // ε·‖T‖ once the norm-relative fallback is engaged.
+    let mut norm_tol: Option<f64> = None;
     for l in 0..n {
         let mut iter = 0;
         loop {
@@ -599,7 +662,7 @@ fn tql2_kernel(
             let mut m = l;
             while m + 1 < n {
                 let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
+                if e[m].abs() <= f64::EPSILON * dd || norm_tol.is_some_and(|t| e[m].abs() <= t) {
                     break;
                 }
                 m += 1;
@@ -608,13 +671,23 @@ fn tql2_kernel(
                 break;
             }
             iter += 1;
-            sweeps += 1;
             if iter > SymmetricEigen::MAX_ITER {
-                return Err(LinalgError::NoConvergence {
-                    kernel: "tql2",
-                    iterations: iter,
-                });
+                if norm_tol.is_some() {
+                    return Err(LinalgError::NoConvergence {
+                        kernel: "tql2",
+                        iterations: iter,
+                    });
+                }
+                let norm = d
+                    .iter()
+                    .zip(e.iter())
+                    .map(|(dk, ek)| dk.abs() + ek.abs())
+                    .fold(0.0, f64::max);
+                norm_tol = Some(f64::EPSILON * norm);
+                iter = 0;
+                continue;
             }
+            sweeps += 1;
             // Form the implicit Wilkinson shift.
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
             let mut r = g.hypot(1.0);
@@ -643,8 +716,9 @@ fn tql2_kernel(
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                rotate(i, s, c);
+                log.push((i, s, c));
             }
+            sweep_done(log);
             if underflow {
                 continue;
             }
@@ -837,6 +911,153 @@ mod tests {
         }
         // And the parallel result is still a correct decomposition.
         assert!(residual(&a, &base) < 1e-8);
+    }
+
+    /// The `tql2` the strip replay replaced, kept as its bit-exactness
+    /// oracle: the same recurrence with every rotation applied to all rows
+    /// the moment it is formed (its row-by-row log replay above the
+    /// cutoff produced the same bits row for row).
+    fn tql2_oracle(
+        z: &mut DenseMatrix,
+        d: &mut [f64],
+        e: &mut [f64],
+    ) -> Result<usize, LinalgError> {
+        let n = d.len();
+        if n == 1 {
+            return Ok(0);
+        }
+        let cols = z.ncols();
+        for i in 1..n {
+            e[i - 1] = e[i];
+        }
+        e[n - 1] = 0.0;
+        let mut sweeps = 0;
+        for l in 0..n {
+            let mut iter = 0;
+            loop {
+                let mut m = l;
+                while m + 1 < n {
+                    let dd = d[m].abs() + d[m + 1].abs();
+                    if e[m].abs() <= f64::EPSILON * dd {
+                        break;
+                    }
+                    m += 1;
+                }
+                if m == l {
+                    break;
+                }
+                iter += 1;
+                sweeps += 1;
+                if iter > SymmetricEigen::MAX_ITER {
+                    return Err(LinalgError::NoConvergence {
+                        kernel: "tql2",
+                        iterations: iter,
+                    });
+                }
+                let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+                let mut r = g.hypot(1.0);
+                let sign_r = if g >= 0.0 { r.abs() } else { -r.abs() };
+                g = d[m] - d[l] + e[l] / (g + sign_r);
+                let (mut s, mut c) = (1.0, 1.0);
+                let mut p = 0.0;
+                let mut underflow = false;
+                for i in (l..m).rev() {
+                    let f = s * e[i];
+                    let b = c * e[i];
+                    r = f.hypot(g);
+                    e[i + 1] = r;
+                    if r == 0.0 {
+                        d[i + 1] -= p;
+                        e[m] = 0.0;
+                        underflow = true;
+                        break;
+                    }
+                    s = f / r;
+                    c = g / r;
+                    g = d[i + 1] - p;
+                    r = (d[i] - g) * s + 2.0 * c * b;
+                    p = s * r;
+                    d[i + 1] = g + p;
+                    g = c * r - b;
+                    for row in z.as_mut_slice().chunks_mut(cols) {
+                        let f = row[i + 1];
+                        row[i + 1] = s * row[i] + c * f;
+                        row[i] = c * row[i] - s * f;
+                    }
+                }
+                if underflow {
+                    continue;
+                }
+                d[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+        Ok(sweeps)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `tql2` on `(z, d, e)` at 1 and 4 threads with the shadow
+    /// checker armed and asserts eigenvalues, eigenvectors and the sweep
+    /// count equal the oracle's bit for bit.
+    fn assert_tql2_matches_oracle(z: &DenseMatrix, d: &[f64], e: &[f64]) {
+        let (mut z_ref, mut d_ref, mut e_ref) = (z.clone(), d.to_vec(), e.to_vec());
+        let sweeps_ref = tql2_oracle(&mut z_ref, &mut d_ref, &mut e_ref).unwrap();
+        let violations = ncs_par::shadow::violation_count();
+        ncs_par::set_shadow_override(Some(true));
+        for t in [1, 4] {
+            ncs_par::set_thread_override(Some(t));
+            let (mut z_new, mut d_new, mut e_new) = (z.clone(), d.to_vec(), e.to_vec());
+            let sweeps = tql2(&mut z_new, &mut d_new, &mut e_new);
+            ncs_par::set_thread_override(None);
+            let n = d.len();
+            assert_eq!(sweeps.unwrap(), sweeps_ref, "sweeps n={n} t={t}");
+            assert_eq!(bits(&d_new), bits(&d_ref), "eigenvalues n={n} t={t}");
+            assert_eq!(
+                bits(z_new.as_slice()),
+                bits(z_ref.as_slice()),
+                "eigenvectors n={n} t={t}"
+            );
+        }
+        ncs_par::set_shadow_override(None);
+        assert_eq!(ncs_par::shadow::violation_count(), violations);
+    }
+
+    #[test]
+    fn strip_replay_matches_the_immediate_rotation_oracle() {
+        // Below the cutoff (n³ < 128³), at it, and above it; 40, 100 and
+        // 131 are not multiples of the strip width.
+        for n in [2, 17, 40, 100, 128, 131, 160] {
+            let mut z = random_symmetric(n);
+            let mut d = vec![0.0; n];
+            let mut e = vec![0.0; n];
+            tred2(&mut z, &mut d, &mut e);
+            assert_tql2_matches_oracle(&z, &d, &e);
+        }
+    }
+
+    #[test]
+    fn strip_replay_matches_the_oracle_on_ritz_shaped_problems() {
+        // The Lanczos caller's shape: an identity start, the Ritz
+        // tridiagonal in (d, e[1..]), and exact-zero betas where the
+        // Krylov basis restarted.
+        for m in [24, 150] {
+            let mut state = 0x853c49e6748fea9b_u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let d: Vec<f64> = (0..m).map(|_| 2.0 * next() - 1.0).collect();
+            let mut e: Vec<f64> = (0..m).map(|_| next()).collect();
+            e[0] = 0.0;
+            e[m / 3] = 0.0;
+            assert_tql2_matches_oracle(&DenseMatrix::identity(m), &d, &e);
+        }
     }
 
     #[test]

@@ -744,19 +744,21 @@ const GRAD_MIN_ITEMS: usize = 4 * WL_GRAIN;
 ///
 /// Wire chunks fan out across the ncs-par team; each chunk scatters its
 /// gradient into private scratch, folded sequentially in chunk order.
+// ncs-lint: hot
 fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
     let wires = &netlist.wires;
     let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
         let mut scratch = scratch;
+        let mut span_scratch = WaScratch::default();
         let mut total = 0.0;
         for wire in &wires[r] {
             for (coords, offset) in [(xs, 0usize), (ys, n)] {
-                let (span, derivs) = wa_span(&wire.pins, coords, gamma);
+                let span = wa_span(&wire.pins, coords, gamma, &mut span_scratch);
                 total += wire.weight * span;
                 if let Some(g) = scratch.as_deref_mut() {
-                    for (&pin, d) in wire.pins.iter().zip(&derivs) {
+                    for (&pin, d) in wire.pins.iter().zip(&span_scratch.derivs) {
                         g[offset + pin] += wire.weight * d;
                     }
                 }
@@ -794,33 +796,50 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f6
     }
 }
 
-/// WA smooth max-minus-min of one coordinate over a pin set, with per-pin
-/// derivatives.
-fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64) -> (f64, Vec<f64>) {
-    let vals: Vec<f64> = pins.iter().map(|&p| coords[p]).collect();
+/// Per-chunk buffers of [`wa_span`], reused from wire to wire: the pin
+/// coordinates, the two exponential weight vectors, and (the output)
+/// the per-pin derivatives of the span.
+#[derive(Default)]
+struct WaScratch {
+    vals: Vec<f64>,
+    ep: Vec<f64>,
+    em: Vec<f64>,
+    derivs: Vec<f64>,
+}
+
+/// WA smooth max-minus-min of one coordinate over a pin set; the per-pin
+/// derivatives are left in `scratch.derivs`.
+// ncs-lint: hot
+fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64, scratch: &mut WaScratch) -> f64 {
+    let WaScratch {
+        vals,
+        ep,
+        em,
+        derivs,
+    } = scratch;
+    vals.clear();
+    vals.extend(pins.iter().map(|&p| coords[p]));
     let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
     // Smooth max side: weights exp((x - max)/γ).
-    let ep: Vec<f64> = vals.iter().map(|&v| ((v - max) / gamma).exp()).collect();
+    ep.clear();
+    ep.extend(vals.iter().map(|&v| ((v - max) / gamma).exp()));
     let sp: f64 = ep.iter().sum();
-    let sxp: f64 = vals.iter().zip(&ep).map(|(v, e)| v * e).sum();
+    let sxp: f64 = vals.iter().zip(ep.iter()).map(|(v, e)| v * e).sum();
     let wa_max = sxp / sp;
     // Smooth min side: weights exp(-(x - min)/γ).
-    let em: Vec<f64> = vals.iter().map(|&v| (-(v - min) / gamma).exp()).collect();
+    em.clear();
+    em.extend(vals.iter().map(|&v| (-(v - min) / gamma).exp()));
     let sm: f64 = em.iter().sum();
-    let sxm: f64 = vals.iter().zip(&em).map(|(v, e)| v * e).sum();
+    let sxm: f64 = vals.iter().zip(em.iter()).map(|(v, e)| v * e).sum();
     let wa_min = sxm / sm;
-    let span = wa_max - wa_min;
-    let derivs = vals
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
-            let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
-            dmax - dmin
-        })
-        .collect();
-    (span, derivs)
+    derivs.clear();
+    derivs.extend(vals.iter().enumerate().map(|(i, &v)| {
+        let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
+        let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
+        dmax - dmin
+    }));
+    wa_max - wa_min
 }
 
 /// Smooth finite-support overlap potential along one axis: bell-shaped,
@@ -838,70 +857,49 @@ fn bell(t: f64, w: f64) -> (f64, f64) {
 
 /// Smooth cell-density penalty (Eq. 2): sum over nearby cell pairs of
 /// `a_ij · O_x · O_y` where `O` are bell potentials over virtual widths
-/// `ω·w`. Uses a spatial hash so only interacting pairs are visited.
-/// Optionally accumulates the gradient.
+/// `ω·w`. Optionally accumulates the gradient.
+///
+/// The pair set and its order are defined by a coarse bucketing of the
+/// plane at the largest virtual extent (so every interacting pair lies
+/// in adjacent coarse buckets): cell `i` meets its partners `j > i` by
+/// 3×3 coarse-bucket offset, then by ascending `j`. Finding them by
+/// walking the coarse buckets would test every cell of a macro-sized
+/// bucket; [`PairGrids`] instead bins small cells and macros on grids
+/// sized to each, and the partners are sorted into the coarse order
+/// before they are summed, so the sums see the same terms in the same
+/// order.
 // ncs-lint: hot
 fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    // Interaction radius: the largest virtual extent.
-    let max_ext = netlist
-        .cells
-        .iter()
-        .map(|c| c.dims.width.max(c.dims.height))
-        .fold(0.0_f64, f64::max)
-        * omega;
-    let bucket = max_ext.max(1.0);
-    // The spatial hash is built serially (it is cheap and order-sensitive);
-    // the pair sweep below then fans out over outer-cell chunks, each
-    // pair charged to the chunk owning its smaller index `i`.
-    let mut hash: std::collections::BTreeMap<(i64, i64), Vec<CellId>> =
-        std::collections::BTreeMap::new();
-    for cell in &netlist.cells {
-        let key = (
-            (xs[cell.id] / bucket).floor() as i64,
-            (ys[cell.id] / bucket).floor() as i64,
-        );
-        hash.entry(key).or_default().push(cell.id);
-    }
-    let hash = &hash;
+    // Built serially (cheap and order-sensitive); the pair sweep below
+    // then fans out over outer-cell chunks, each pair charged to the
+    // chunk owning its smaller index `i`.
+    let grids = PairGrids::new(netlist, xs, ys, omega);
     let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
         let mut scratch = scratch;
+        let mut partners = Vec::new();
         let mut total = 0.0;
         for cell in &netlist.cells[r] {
             let i = cell.id;
-            let kx = (xs[i] / bucket).floor() as i64;
-            let ky = (ys[i] / bucket).floor() as i64;
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    let Some(others) = hash.get(&(kx + dx, ky + dy)) else {
-                        continue;
-                    };
-                    for &j in others {
-                        if j <= i {
-                            continue;
-                        }
-                        let cj = &netlist.cells[j];
-                        let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
-                        let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
-                        let tx = xs[i] - xs[j];
-                        let ty = ys[i] - ys[j];
-                        if tx.abs() >= wx || ty.abs() >= wy {
-                            continue;
-                        }
-                        let (ox, dox) = bell(tx, wx);
-                        let (oy, doy) = bell(ty, wy);
-                        let aij = cell.dims.area().min(cj.dims.area());
-                        total += aij * ox * oy;
-                        if let Some(g) = scratch.as_deref_mut() {
-                            let gx = aij * dox * tx.signum() * oy;
-                            let gy = aij * ox * doy * ty.signum();
-                            g[i] += gx;
-                            g[j] -= gx;
-                            g[n + i] += gy;
-                            g[n + j] -= gy;
-                        }
-                    }
+            grids.partners(netlist, xs, ys, omega, i, &mut partners);
+            for &(_, j) in &partners {
+                let cj = &netlist.cells[j];
+                let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
+                let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
+                let tx = xs[i] - xs[j];
+                let ty = ys[i] - ys[j];
+                let (ox, dox) = bell(tx, wx);
+                let (oy, doy) = bell(ty, wy);
+                let aij = cell.dims.area().min(cj.dims.area());
+                total += aij * ox * oy;
+                if let Some(g) = scratch.as_deref_mut() {
+                    let gx = aij * dox * tx.signum() * oy;
+                    let gy = aij * ox * doy * ty.signum();
+                    g[i] += gx;
+                    g[j] -= gx;
+                    g[n + i] += gy;
+                    g[n + j] -= gy;
                 }
             }
         }
@@ -934,6 +932,212 @@ fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -
             0.0,
             |a, t| a + t,
         ),
+    }
+}
+
+/// Relative slack between a grid's pitch and the largest interaction
+/// reach it must cover, so rounding in `x / pitch` can never push an
+/// interacting pair more than the computed number of buckets apart.
+const GRID_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The spatial index of [`density`]: one [`CellGrid`] of the small cells
+/// (neurons, synapses) and one of the crossbar macros, plus every cell's
+/// key in the coarse bucketing that defines the pair set.
+struct PairGrids {
+    /// `(⌊x/b⌋, ⌊y/b⌋)` per cell, where the coarse bucket edge `b` is the
+    /// largest virtual extent, at least 1 µm.
+    coarse_keys: Vec<(i64, i64)>,
+    small: CellGrid,
+    macros: CellGrid,
+}
+
+impl PairGrids {
+    fn new(netlist: &Netlist, xs: &[f64], ys: &[f64], omega: f64) -> Self {
+        let max_ext = netlist
+            .cells
+            .iter()
+            .map(|c| c.dims.width.max(c.dims.height))
+            .fold(0.0_f64, f64::max)
+            * omega;
+        let coarse = max_ext.max(1.0);
+        let coarse_keys = (0..netlist.cells.len())
+            .map(|i| {
+                (
+                    (xs[i] / coarse).floor() as i64,
+                    (ys[i] / coarse).floor() as i64,
+                )
+            })
+            .collect();
+        let (macro_ids, small_ids): (Vec<CellId>, Vec<CellId>) = netlist
+            .cells
+            .iter()
+            .map(|c| c.id)
+            .partition(|&i| matches!(netlist.cells[i].kind, ncs_tech::CellKind::Crossbar(_)));
+        PairGrids {
+            coarse_keys,
+            small: CellGrid::new(netlist, small_ids, xs, ys, omega),
+            macros: CellGrid::new(netlist, macro_ids, xs, ys, omega),
+        }
+    }
+
+    /// Fills `out` with cell `i`'s interacting partners `j > i` inside
+    /// its 3×3 coarse neighbourhood, as `(coarse offset, j)` in the order
+    /// the sums must visit them.
+    fn partners(
+        &self,
+        netlist: &Netlist,
+        xs: &[f64],
+        ys: &[f64],
+        omega: f64,
+        i: CellId,
+        out: &mut Vec<(usize, CellId)>,
+    ) {
+        out.clear();
+        let ci = &netlist.cells[i];
+        let (kx, ky) = self.coarse_keys[i];
+        let ext = omega * ci.dims.width.max(ci.dims.height);
+        for grid in [&self.small, &self.macros] {
+            grid.visit(xs[i], ys[i], ext, |j| {
+                if j <= i {
+                    return;
+                }
+                let (jx, jy) = self.coarse_keys[j];
+                if kx.abs_diff(jx) > 1 || ky.abs_diff(jy) > 1 {
+                    return;
+                }
+                let cj = &netlist.cells[j];
+                let wx = omega * (ci.dims.width + cj.dims.width) / 2.0;
+                let wy = omega * (ci.dims.height + cj.dims.height) / 2.0;
+                if (xs[i] - xs[j]).abs() >= wx || (ys[i] - ys[j]).abs() >= wy {
+                    return;
+                }
+                // The coarse walk's visit order: x offset, then y offset.
+                let offset = (jx - kx + 1) * 3 + (jy - ky + 1);
+                out.push((offset as usize, j));
+            });
+        }
+        out.sort_unstable();
+    }
+}
+
+/// Cells binned on a uniform grid, CSR-style: bucket `b` holds
+/// `ids[start[b]..start[b + 1]]`, in ascending id order. The pitch is at
+/// least the members' largest virtual extent (`reach`), grown when the
+/// members' bounding box would need more than a few buckets per member.
+struct CellGrid {
+    pitch: f64,
+    reach: f64,
+    /// Key of bucket column/row 0.
+    origin: (i64, i64),
+    cols: usize,
+    rows: usize,
+    start: Vec<usize>,
+    ids: Vec<CellId>,
+}
+
+impl CellGrid {
+    fn new(netlist: &Netlist, members: Vec<CellId>, xs: &[f64], ys: &[f64], omega: f64) -> Self {
+        let reach = members
+            .iter()
+            .map(|&i| {
+                netlist.cells[i]
+                    .dims
+                    .width
+                    .max(netlist.cells[i].dims.height)
+            })
+            .fold(0.0_f64, f64::max)
+            * omega;
+        let (mut lo, mut hi) = (
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        for &i in &members {
+            if xs[i].is_finite() && ys[i].is_finite() {
+                lo = (lo.0.min(xs[i]), lo.1.min(ys[i]));
+                hi = (hi.0.max(xs[i]), hi.1.max(ys[i]));
+            }
+        }
+        if lo.0 > hi.0 {
+            (lo, hi) = ((0.0, 0.0), (0.0, 0.0));
+        }
+        // At most ~2√members + 2 buckets per axis; and keys no larger than
+        // 2^30, so the rounding of `x / pitch` stays far inside the slack.
+        let side = 2.0 * (members.len() as f64).sqrt() + 1.0;
+        let magnitude = [lo.0, lo.1, hi.0, hi.1]
+            .iter()
+            .fold(0.0_f64, |m, v| m.max(v.abs()));
+        let pitch = (reach * (1.0 + 2.0 * GRID_SLACK))
+            .max((hi.0 - lo.0).max(hi.1 - lo.1) / side)
+            .max(magnitude / (1u64 << 30) as f64)
+            .max(f64::MIN_POSITIVE);
+        let key = |v: f64| (v / pitch).floor() as i64;
+        let origin = (key(lo.0), key(lo.1));
+        let cols = (key(hi.0) - origin.0) as usize + 1;
+        let rows = (key(hi.1) - origin.1) as usize + 1;
+        // Members off the finite bounding box (non-finite coordinates)
+        // are clamped into its edge buckets.
+        let bucket = |i: CellId| {
+            let bx = key(xs[i])
+                .saturating_sub(origin.0)
+                .clamp(0, cols as i64 - 1) as usize;
+            let by = key(ys[i])
+                .saturating_sub(origin.1)
+                .clamp(0, rows as i64 - 1) as usize;
+            by * cols + bx
+        };
+        let mut start = vec![0usize; cols * rows + 1];
+        for &i in &members {
+            start[bucket(i) + 1] += 1;
+        }
+        for b in 0..cols * rows {
+            start[b + 1] += start[b];
+        }
+        let mut fill = start.clone();
+        let mut ids = vec![0; members.len()];
+        for &i in &members {
+            let b = bucket(i);
+            ids[fill[b]] = i;
+            fill[b] += 1;
+        }
+        CellGrid {
+            pitch,
+            reach,
+            origin,
+            cols,
+            rows,
+            start,
+            ids,
+        }
+    }
+
+    /// Calls `f` on every member that could interact with a cell of
+    /// virtual extent `ext` centred at `(x, y)`: all members within
+    /// `(ext + reach) / 2` per axis, plus possibly a few farther ones.
+    fn visit(&self, x: f64, y: f64, ext: f64, mut f: impl FnMut(CellId)) {
+        if self.ids.is_empty() {
+            return;
+        }
+        let steps = ((ext + self.reach) / 2.0 / self.pitch * (1.0 + GRID_SLACK)).ceil() as i64;
+        let key = |v: f64| (v / self.pitch).floor() as i64;
+        let span = |k: i64, origin: i64, len: usize| {
+            let lo = k.saturating_sub(steps).saturating_sub(origin).max(0);
+            let hi = k
+                .saturating_add(steps)
+                .saturating_sub(origin)
+                .min(len as i64 - 1);
+            (lo, hi)
+        };
+        let (x_lo, x_hi) = span(key(x), self.origin.0, self.cols);
+        let (y_lo, y_hi) = span(key(y), self.origin.1, self.rows);
+        for by in y_lo..=y_hi {
+            let row = by as usize * self.cols;
+            for bx in x_lo..=x_hi {
+                let b = row + bx as usize;
+                for &j in &self.ids[self.start[b]..self.start[b + 1]] {
+                    f(j);
+                }
+            }
+        }
     }
 }
 
@@ -1354,8 +1558,285 @@ mod tests {
     fn wa_span_approximates_true_span() {
         let coords = vec![0.0, 10.0, 4.0];
         let pins = vec![0, 1, 2];
-        let (span, _) = wa_span(&pins, &coords, 0.5);
+        let span = wa_span(&pins, &coords, 0.5, &mut WaScratch::default());
         assert!((span - 10.0).abs() < 0.5, "span {span}");
+    }
+
+    /// The allocating `wa_span` the scratch version replaced, kept as its
+    /// bit-exactness oracle.
+    fn wa_span_oracle(pins: &[CellId], coords: &[f64], gamma: f64) -> (f64, Vec<f64>) {
+        let vals: Vec<f64> = pins.iter().map(|&p| coords[p]).collect();
+        let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
+        let ep: Vec<f64> = vals.iter().map(|&v| ((v - max) / gamma).exp()).collect();
+        let sp: f64 = ep.iter().sum();
+        let sxp: f64 = vals.iter().zip(&ep).map(|(v, e)| v * e).sum();
+        let wa_max = sxp / sp;
+        let em: Vec<f64> = vals.iter().map(|&v| (-(v - min) / gamma).exp()).collect();
+        let sm: f64 = em.iter().sum();
+        let sxm: f64 = vals.iter().zip(&em).map(|(v, e)| v * e).sum();
+        let wa_min = sxm / sm;
+        let derivs = vals
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
+                let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
+                dmax - dmin
+            })
+            .collect();
+        (wa_max - wa_min, derivs)
+    }
+
+    /// The replaced `wa_wirelength` (same chunk grid and folds, one
+    /// allocating `wa_span` call per wire and axis).
+    fn wa_wirelength_oracle(netlist: &Netlist, p: &[f64], gamma: f64, grad: &mut [f64]) -> f64 {
+        let n = netlist.cells.len();
+        let (xs, ys) = p.split_at(n);
+        let mut total_all = 0.0;
+        for r in ncs_par::chunk_ranges(netlist.wires.len(), WL_GRAIN) {
+            let mut scratch = vec![0.0; 2 * n];
+            let mut total = 0.0;
+            for wire in &netlist.wires[r] {
+                for (coords, offset) in [(xs, 0usize), (ys, n)] {
+                    let (span, derivs) = wa_span_oracle(&wire.pins, coords, gamma);
+                    total += wire.weight * span;
+                    for (&pin, d) in wire.pins.iter().zip(&derivs) {
+                        scratch[offset + pin] += wire.weight * d;
+                    }
+                }
+            }
+            for (slot, s) in grad.iter_mut().zip(&scratch) {
+                *slot += s;
+            }
+            total_all += total;
+        }
+        total_all
+    }
+
+    /// The replaced `density`: a `BTreeMap` spatial hash bucketed at the
+    /// largest virtual extent, each cell walking its 3×3 buckets in
+    /// offset order and every member `j > i` of each.
+    fn density_oracle(netlist: &Netlist, p: &[f64], omega: f64, grad: &mut [f64]) -> f64 {
+        let n = netlist.cells.len();
+        let (xs, ys) = p.split_at(n);
+        let max_ext = netlist
+            .cells
+            .iter()
+            .map(|c| c.dims.width.max(c.dims.height))
+            .fold(0.0_f64, f64::max)
+            * omega;
+        let bucket = max_ext.max(1.0);
+        let mut hash: std::collections::BTreeMap<(i64, i64), Vec<CellId>> =
+            std::collections::BTreeMap::new();
+        for cell in &netlist.cells {
+            let key = (
+                (xs[cell.id] / bucket).floor() as i64,
+                (ys[cell.id] / bucket).floor() as i64,
+            );
+            hash.entry(key).or_default().push(cell.id);
+        }
+        let mut total_all = 0.0;
+        for r in ncs_par::chunk_ranges(n, DENSITY_GRAIN) {
+            let mut scratch = vec![0.0; 2 * n];
+            let mut total = 0.0;
+            for cell in &netlist.cells[r] {
+                let i = cell.id;
+                let kx = (xs[i] / bucket).floor() as i64;
+                let ky = (ys[i] / bucket).floor() as i64;
+                for dx in -1..=1 {
+                    for dy in -1..=1 {
+                        let Some(others) = hash.get(&(kx + dx, ky + dy)) else {
+                            continue;
+                        };
+                        for &j in others {
+                            if j <= i {
+                                continue;
+                            }
+                            let cj = &netlist.cells[j];
+                            let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
+                            let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
+                            let tx = xs[i] - xs[j];
+                            let ty = ys[i] - ys[j];
+                            if tx.abs() >= wx || ty.abs() >= wy {
+                                continue;
+                            }
+                            let (ox, dox) = bell(tx, wx);
+                            let (oy, doy) = bell(ty, wy);
+                            let aij = cell.dims.area().min(cj.dims.area());
+                            total += aij * ox * oy;
+                            let gx = aij * dox * tx.signum() * oy;
+                            let gy = aij * ox * doy * ty.signum();
+                            scratch[i] += gx;
+                            scratch[j] -= gx;
+                            scratch[n + i] += gy;
+                            scratch[n + j] -= gy;
+                        }
+                    }
+                }
+            }
+            for (slot, s) in grad.iter_mut().zip(&scratch) {
+                *slot += s;
+            }
+            total_all += total;
+        }
+        total_all
+    }
+
+    /// A seeded mixed-size netlist: neurons, discrete synapses and
+    /// crossbars of three sizes (the largest first among the macros), in
+    /// shuffled id order, with 2-pin wires and a share of many-pin ones.
+    fn mixed_netlist(seed: u64, cells: usize, wires: usize) -> Netlist {
+        use ncs_rng::Rng;
+        use ncs_tech::CellKind;
+        let tech = TechnologyModel::nm45();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut kinds: Vec<CellKind> = (0..cells)
+            .map(|k| match k % 10 {
+                0 => CellKind::Crossbar([64, 16, 32][(k / 10) % 3]),
+                1..=3 => CellKind::Synapse,
+                _ => CellKind::Neuron,
+            })
+            .collect();
+        rng.shuffle(&mut kinds);
+        let cells: Vec<crate::Cell> = kinds
+            .into_iter()
+            .enumerate()
+            .map(|(id, kind)| crate::Cell {
+                id,
+                kind,
+                dims: tech.dims(kind),
+                source: id,
+            })
+            .collect();
+        let wires = (0..wires)
+            .map(|id| {
+                let pins = if id % 7 == 0 {
+                    rng.gen_range(3usize..=12)
+                } else {
+                    2
+                };
+                crate::Wire {
+                    id,
+                    pins: (0..pins).map(|_| rng.gen_range(0..cells.len())).collect(),
+                    weight: 0.5 + rng.gen_f64(),
+                }
+            })
+            .collect();
+        Netlist { cells, wires }
+    }
+
+    /// Evaluates `kernel` at 1 and 4 threads with the shadow checker
+    /// armed and asserts value and gradient equal `oracle`'s bit for bit.
+    fn assert_matches_oracle(
+        what: &str,
+        p: &[f64],
+        kernel: impl Fn(&[f64], Option<&mut [f64]>) -> f64,
+        oracle: impl Fn(&[f64], &mut [f64]) -> f64,
+    ) {
+        let mut grad_ref = vec![0.0; p.len()];
+        let value_ref = oracle(p, &mut grad_ref);
+        let bits = |g: &[f64]| -> Vec<u64> { g.iter().map(|v| v.to_bits()).collect() };
+        let violations = ncs_par::shadow::violation_count();
+        ncs_par::set_shadow_override(Some(true));
+        for t in [1, 4] {
+            ncs_par::set_thread_override(Some(t));
+            let mut grad = vec![0.0; p.len()];
+            let value = kernel(p, Some(&mut grad));
+            let value_only = kernel(p, None);
+            ncs_par::set_thread_override(None);
+            assert_eq!(value.to_bits(), value_ref.to_bits(), "{what} value t={t}");
+            assert_eq!(value_only.to_bits(), value_ref.to_bits(), "{what} t={t}");
+            assert_eq!(bits(&grad), bits(&grad_ref), "{what} gradient t={t}");
+        }
+        ncs_par::set_shadow_override(None);
+        assert_eq!(ncs_par::shadow::violation_count(), violations);
+    }
+
+    #[test]
+    fn wa_wirelength_matches_the_allocating_oracle() {
+        // 300 wires clear GRAD_MIN_ITEMS, so t=4 takes the pool.
+        for (seed, wires) in [(1, 40), (2, 300)] {
+            let nl = mixed_netlist(seed, 120, wires);
+            let n = nl.cells.len();
+            let mut rng = ncs_rng::Rng::seed_from_u64(seed);
+            let p: Vec<f64> = (0..2 * n).map(|_| rng.normal(0.0, 30.0)).collect();
+            assert_matches_oracle(
+                &format!("wa seed {seed}"),
+                &p,
+                |p, g| wa_wirelength(&nl, p, 2.0, g),
+                |p, g| wa_wirelength_oracle(&nl, p, 2.0, g),
+            );
+        }
+    }
+
+    #[test]
+    fn density_matches_the_coarse_hash_oracle() {
+        let omega = 1.2;
+        let nl = mixed_netlist(7, 320, 0);
+        let n = nl.cells.len();
+        // Coarse bucket of the oracle: the largest virtual extent.
+        let big = omega * TechnologyModel::nm45().crossbar_dims(64).width;
+        let mut rng = ncs_rng::Rng::seed_from_u64(7);
+        let mut layouts: Vec<(&str, Vec<f64>)> = Vec::new();
+        // Clumped random layouts at a few densities, one shifted well
+        // into negative coordinates.
+        for (name, side, shift) in [
+            ("dense", 60.0, 0.0),
+            ("sparse", 400.0, 0.0),
+            ("negative", 120.0, -500.0),
+        ] {
+            layouts.push((
+                name,
+                (0..2 * n).map(|_| shift + side * rng.gen_f64()).collect(),
+            ));
+        }
+        // Every cell stacked on a handful of points.
+        layouts.push((
+            "stacked",
+            (0..2 * n).map(|k| (k % 3) as f64 * 0.25).collect(),
+        ));
+        // Cells snapped to coarse and small-cell bucket edges, and one
+        // ulp either side of them.
+        layouts.push((
+            "edges",
+            (0..2 * n)
+                .map(|k| {
+                    let edge = if k % 2 == 0 { big } else { 2.4 };
+                    let v = (k % 9) as f64 * edge - 4.0 * edge;
+                    match k % 3 {
+                        0 => v,
+                        1 => f64::from_bits(v.to_bits() + 1),
+                        _ => f64::from_bits(v.to_bits() - 1),
+                    }
+                })
+                .collect(),
+        ));
+        // Every 64-crossbar on a row, each pair just under one coarse
+        // bucket apart, over a uniform spread of the other cells.
+        let mut rows: Vec<f64> = (0..2 * n).map(|_| 300.0 * rng.gen_f64()).collect();
+        let mut x = 0.5 * big;
+        for cell in &nl.cells {
+            if cell.kind == ncs_tech::CellKind::Crossbar(64) {
+                rows[cell.id] = x;
+                rows[n + cell.id] = 100.0;
+                x += big * (1.0 - 1e-12);
+            }
+        }
+        layouts.push(("macro row", rows));
+        for (name, p) in &layouts {
+            let mut grad = vec![0.0; p.len()];
+            assert!(
+                density_oracle(&nl, p, omega, &mut grad) > 0.0,
+                "{name}: no overlap"
+            );
+            assert_matches_oracle(
+                name,
+                p,
+                |p, g| density(&nl, p, omega, g),
+                |p, g| density_oracle(&nl, p, omega, g),
+            );
+        }
     }
 
     #[test]
@@ -1400,6 +1881,22 @@ mod tests {
                 grad[idx]
             );
         }
+    }
+
+    #[test]
+    fn density_indexes_non_finite_coordinates_without_panicking() {
+        // A diverged descent can hand the density non-finite coordinates;
+        // the grids clamp such cells into their edge buckets.
+        let nl = mixed_netlist(3, 40, 0);
+        let n = nl.cells.len();
+        let mut p: Vec<f64> = (0..2 * n).map(|k| (k % 7) as f64).collect();
+        p[0] = f64::NAN;
+        p[1] = f64::INFINITY;
+        p[n + 2] = f64::NEG_INFINITY;
+        p[3] = 1e300;
+        let mut grad = vec![0.0; 2 * n];
+        density(&nl, &p, 1.2, Some(&mut grad));
+        density(&nl, &p, 1.2, None);
     }
 
     #[test]
