@@ -273,8 +273,10 @@ fn par() {
         .filter(|&t: &usize| t > 0)
         .unwrap_or(4);
 
-    // Dense eigensolver: n=192 exceeds the team threshold (128), so the
-    // Householder/QL team path genuinely runs multi-worker.
+    // Dense eigensolver: n=192 clears the 128³ eigen cutoff, so the QL
+    // rotation replay fans out over its strips. The Householder
+    // reduction is serial at every size; it is timed here too, and
+    // dilutes the speedup.
     let n = 192;
     let mut a = DenseMatrix::zeros(n, n);
     let mut state = 1u64;

@@ -579,6 +579,19 @@ mod tests {
         assert!(values.iter().all(|v| (-1e-9..=2.0 + 1e-9).contains(v)));
         assert!(values.iter().filter(|v| v.abs() < 1e-9).count() >= 164);
         assert!(eig.eigenvectors().as_slice().iter().all(|v| v.is_finite()));
+        // Absolute bits, pinned as an FNV-1a hash of the eigenvalues then
+        // the eigenvector matrix (row-major): the isolated neurons drive
+        // the Householder reduction through its `scale == 0` skip.
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for x in values.iter().chain(eig.eigenvectors().as_slice()) {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            h, 0x9d1e_5df9_cb3f_8fea,
+            "embedding bits drifted: {h:#018x}"
+        );
     }
 
     #[test]

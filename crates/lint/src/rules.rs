@@ -61,7 +61,6 @@ const PAR_PRIMITIVES: &[&str] = &[
     "par_map",
     "par_map_reduce",
     "par_chunks_mut",
-    "team_split_mut",
     "par_map_queue",
 ];
 
@@ -173,8 +172,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "par-cutoff-discipline",
-        summary: "every par_map/par_map_reduce/par_chunks_mut/team_split_mut/\
-                  par_map_queue call site must thread a calibrated Cutoff; \
+        summary: "every par_map/par_map_reduce/par_chunks_mut/par_map_queue \
+                  call site must thread a calibrated Cutoff; \
                   a literal Cutoff::NONE needs a waiver proving an outer gate",
     },
     Rule {

@@ -9,6 +9,12 @@
 //! setting. The single-thread case never spawns: it runs the identical
 //! chunk/fold structure inline on the calling thread.
 //!
+//! Workers never wait on one another: each runs its own contiguous run
+//! of chunks (or, in [`par_map_queue`], claims items from one atomic
+//! counter) and is joined by the launching thread. There are no
+//! barriers and no shared exchange buffers; a kernel that needs a serial
+//! step between parallel phases makes two launches.
+//!
 //! # Serial cutoffs
 //!
 //! Pool dispatch costs tens of microseconds; a small kernel loses more
@@ -35,23 +41,21 @@
 //! `0` uniformly means "hardware default" for both the environment
 //! variable and the override. The count a launch actually spawns,
 //! [`pool_threads`], additionally caps environment-resolved requests at
-//! [`hardware_threads`]: this crate's workers are CPU-bound spinners,
-//! so oversubscribing a core only adds barrier latency — and because
-//! the chunk grid ignores the worker count, capping it cannot change a
-//! single result bit. An explicit override is exempt from the cap so
-//! determinism tests can still force genuinely oversubscribed teams.
+//! [`hardware_threads`]: this crate's workers are CPU-bound, so
+//! oversubscribing a core only adds spawn and context-switch cost — and
+//! because the chunk grid ignores the worker count, capping it cannot
+//! change a single result bit. An explicit override is exempt from the
+//! cap so determinism tests can still force genuinely oversubscribed
+//! launches.
 //!
 //! # Shadow-access checking
 //!
 //! `NCS_SHADOW=1` (or [`set_shadow_override`]) arms an in-house race
-//! detector for the two invariants bit-identity rests on: mutable-split
-//! launches ([`par_chunks_mut`], [`team_split_mut`]) verify their
-//! worker claim tables — pairwise disjoint, covering the input exactly
-//! — before any worker spawns, and every [`SharedF64Buf`] store is
-//! recorded against the writer's `(worker, barrier phase)` so two
-//! workers publishing one slot between the same pair of barriers is
-//! reported as the unordered (racy) write it is. Off by default; see
-//! [`shadow`] for the contract.
+//! detector for the invariant bit-identity rests on: every
+//! [`par_chunks_mut`] launch verifies its worker claim table — pairwise
+//! disjoint, covering the input exactly — before any worker spawns, and
+//! panics on a bad one. Off by default; see [`shadow`] for the
+//! contract.
 //!
 //! # Example
 //!
@@ -81,7 +85,7 @@ pub mod shadow;
 pub use shadow::set_shadow_override;
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
@@ -129,13 +133,12 @@ pub fn threads() -> usize {
 /// capped at [`hardware_threads`] unless it came from an explicit
 /// [`set_thread_override`].
 ///
-/// The cap exists because these pools are CPU-bound spin-barrier
-/// workers — on a 1-core host, `NCS_THREADS=4` used to mean four
-/// workers time-sharing one core, which made the eigensolver up to 23×
-/// *slower* than serial. The chunk grid is a function of the problem
-/// size only, so capping the worker count cannot change any result
-/// bit. Overrides bypass the cap so determinism tests can force real
-/// oversubscribed teams.
+/// The cap exists because the workers are CPU-bound: on a 1-core host,
+/// `NCS_THREADS=4` would mean four workers time-sharing one core, paying
+/// spawn and context-switch cost for no extra throughput. The chunk grid
+/// is a function of the problem size only, so capping the worker count
+/// cannot change any result bit. Overrides bypass the cap so determinism
+/// tests can force real oversubscribed launches.
 pub fn pool_threads() -> usize {
     match thread_override() {
         Some(n) => n,
@@ -329,7 +332,7 @@ where
     let claims = worker_elem_claims(chunks, workers, grain, len);
     if shadow::enabled() {
         // Verified before any worker spawns: a bad claim table panics on
-        // the launching thread, never stranding workers at a barrier.
+        // the launching thread before any chunk runs.
         shadow::check_launch("par_chunks_mut", len, &claims);
     }
     let mut per_worker: Vec<Vec<A>> = Vec::with_capacity(workers);
@@ -485,232 +488,6 @@ where
     let mut all: Vec<(usize, R)> = per_worker.into_iter().flatten().collect();
     all.sort_by_key(|&(i, _)| i);
     all.into_iter().map(|(_, r)| r).collect()
-}
-
-/// A sense-reversing spin barrier: orders of magnitude cheaper than
-/// `std::sync::Barrier` for the tight per-iteration synchronisation the
-/// eigensolver team needs (thousands of waits per call).
-struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(parties: usize) -> Self {
-        SpinBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// Blocks until all `parties` workers arrive. The last arrival
-    /// resets the count *before* bumping the generation, so the barrier
-    /// is immediately reusable.
-    fn wait(&self) {
-        if self.parties <= 1 {
-            return;
-        }
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.saturating_add(1);
-                if spins > 1 << 14 {
-                    // Oversubscribed (e.g. a 1-core container): yield so
-                    // the straggler can actually run.
-                    thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
-/// Per-worker context handed to a [`team_split_mut`] body.
-pub struct TeamCtx<'a> {
-    /// This worker's index in `0..workers`.
-    pub worker: usize,
-    /// Total workers in the team (1 on the serial path).
-    pub workers: usize,
-    /// First item (row) owned by this worker.
-    pub first_item: usize,
-    /// Number of items owned by this worker.
-    pub items: usize,
-    /// Total items across the whole team.
-    pub total_items: usize,
-    barrier: &'a SpinBarrier,
-}
-
-impl TeamCtx<'_> {
-    /// Barrier: blocks until every worker in the team has called it.
-    /// A no-op for a one-worker team. All data published to a
-    /// [`SharedF64Buf`] before the barrier is visible after it.
-    pub fn sync(&self) {
-        self.barrier.wait();
-        // Barriers are collective, so every worker's shadow phase
-        // counter advances in lockstep (a no-op outside shadow mode).
-        shadow::bump_phase();
-    }
-
-    /// Whether `item` falls in this worker's owned range.
-    pub fn owns(&self, item: usize) -> bool {
-        item >= self.first_item && item < self.first_item + self.items
-    }
-
-    /// This worker's owned item range.
-    pub fn range(&self) -> Range<usize> {
-        self.first_item..self.first_item + self.items
-    }
-}
-
-/// SPMD team over `data` viewed as `data.len() / item_len` fixed-size
-/// items (e.g. matrix rows): each worker owns a contiguous run of items
-/// and runs `body` to completion, synchronising via [`TeamCtx::sync`].
-///
-/// Worker boundaries are aligned to multiples of `grain` items, so a
-/// chunk grid built with [`chunk_ranges`]`(n_items, grain)` is never
-/// split across workers — each chunk has exactly one owner. Returns the
-/// per-worker results in worker order. Below the `cutoff` (measured in
-/// items), with one worker, or when [`pool_threads`] is 1, `body` runs
-/// inline on the calling thread with the full slice, executing the
-/// same code path.
-///
-/// # Panics
-///
-/// Panics if `item_len == 0` or `data.len()` is not a multiple of
-/// `item_len`.
-pub fn team_split_mut<T, R, F>(
-    data: &mut [T],
-    item_len: usize,
-    grain: usize,
-    cutoff: Cutoff,
-    body: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(TeamCtx<'_>, &mut [T]) -> R + Sync,
-{
-    assert!(item_len > 0, "team_split_mut: item_len must be positive");
-    assert_eq!(
-        data.len() % item_len,
-        0,
-        "team_split_mut: data must hold whole items"
-    );
-    let total_items = data.len() / item_len;
-    let grain = grain.max(1);
-    let blocks = chunk_count(total_items, grain);
-    let workers = launch_workers(total_items, blocks, cutoff);
-    if workers <= 1 {
-        let barrier = SpinBarrier::new(1);
-        let ctx = TeamCtx {
-            worker: 0,
-            workers: 1,
-            first_item: 0,
-            items: total_items,
-            total_items,
-            barrier: &barrier,
-        };
-        let _identity = shadow::enter_team(0);
-        return vec![body(ctx, data)];
-    }
-    let claims = worker_elem_claims(blocks, workers, grain, total_items);
-    if shadow::enabled() {
-        // Verified before any worker spawns: a bad claim table panics on
-        // the launching thread, never stranding workers at a barrier.
-        shadow::check_launch("team_split_mut", total_items, &claims);
-    }
-    let barrier = SpinBarrier::new(workers);
-    let mut results: Vec<R> = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = data;
-        for (w, claim) in claims.iter().enumerate() {
-            let (mine, tail) = rest.split_at_mut((claim.end - claim.start) * item_len);
-            rest = tail;
-            let ctx = TeamCtx {
-                worker: w,
-                workers,
-                first_item: claim.start,
-                items: claim.end - claim.start,
-                total_items,
-                barrier: &barrier,
-            };
-            let bref = &body;
-            handles.push(scope.spawn(move || {
-                let _identity = shadow::enter_team(ctx.worker);
-                bref(ctx, mine)
-            }));
-        }
-        for h in handles {
-            results.push(join(h));
-        }
-    });
-    results
-}
-
-/// A shared `f64` exchange buffer for [`team_split_mut`] bodies, backed
-/// by `AtomicU64` bit patterns so no `unsafe` is needed.
-///
-/// Loads and stores are `Relaxed`: the intended protocol is
-/// write → [`TeamCtx::sync`] → read, with the barrier providing the
-/// ordering. Values written outside that protocol may be observed torn
-/// across *different* slots but never within one (each slot is a single
-/// atomic word).
-pub struct SharedF64Buf {
-    bits: Vec<AtomicU64>,
-    /// Shadow-access tracking, snapshotted from [`shadow::enabled`] at
-    /// construction; `None` (the default) costs one branch per store.
-    shadow: Option<shadow::ShadowSlots>,
-}
-
-impl SharedF64Buf {
-    /// A buffer of `len` slots, all initialised to `0.0`.
-    pub fn new(len: usize) -> Self {
-        SharedF64Buf {
-            bits: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            shadow: shadow::enabled().then(shadow::ShadowSlots::new),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the buffer has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Stores `value` into slot `i` (bit-exact).
-    pub fn set(&self, i: usize, value: f64) {
-        if let Some(slots) = &self.shadow {
-            slots.record(i);
-        }
-        self.bits[i].store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Loads slot `i` (bit-exact).
-    pub fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.bits[i].load(Ordering::Relaxed))
-    }
-
-    /// Drains the shadow-access violations recorded on this buffer:
-    /// same-slot writes by different workers within one barrier phase.
-    /// Always empty when the buffer was created with the shadow checker
-    /// disabled (writes are then untracked).
-    pub fn shadow_violations(&self) -> Vec<String> {
-        self.shadow
-            .as_ref()
-            .map_or_else(Vec::new, shadow::ShadowSlots::take_violations)
-    }
 }
 
 #[cfg(test)]
@@ -964,90 +741,12 @@ mod tests {
     }
 
     #[test]
-    fn team_split_covers_items_and_aligns_to_grain() {
-        for t in [1, 3, 4] {
-            let mut rows = vec![0u32; 11 * 4]; // 11 items of length 4
-            let infos = with_override(t, || {
-                team_split_mut(&mut rows, 4, 2, Cutoff::NONE, |ctx, mine| {
-                    assert_eq!(mine.len(), ctx.items * 4);
-                    assert_eq!(ctx.first_item % 2, 0, "grain-aligned boundaries");
-                    for x in mine.iter_mut() {
-                        *x += 1;
-                    }
-                    (ctx.worker, ctx.first_item, ctx.items)
-                })
-            });
-            assert!(rows.iter().all(|&x| x == 1), "every item visited once");
-            let mut next = 0;
-            for (w, first, items) in &infos {
-                assert_eq!(*w, infos[*w].0);
-                assert_eq!(*first, next);
-                next += items;
-            }
-            assert_eq!(next, 11);
-        }
-    }
-
-    #[test]
-    fn team_barrier_publishes_shared_values() {
-        // Classic SPMD round trip: worker 0 publishes, everyone reads
-        // after the barrier, everyone publishes partials, worker 0 folds
-        // in index order. Must give the same answer at any team size.
-        let run_at = |t: usize| {
-            with_override(t, || {
-                let mut rows = vec![0.0f64; 16 * 2];
-                for (i, x) in rows.iter_mut().enumerate() {
-                    *x = i as f64;
-                }
-                let buf = SharedF64Buf::new(16);
-                let seedbuf = SharedF64Buf::new(1);
-                let folds = team_split_mut(&mut rows, 2, 1, Cutoff::NONE, |ctx, mine| {
-                    if ctx.worker == 0 {
-                        seedbuf.set(0, 0.5);
-                    }
-                    ctx.sync();
-                    let seed = seedbuf.get(0);
-                    for (k, item) in mine.chunks(2).enumerate() {
-                        buf.set(ctx.first_item + k, seed * (item[0] + item[1]));
-                    }
-                    ctx.sync();
-                    // Every worker folds the full buffer in index order:
-                    // identical bits on all workers.
-                    let mut acc = 0.0;
-                    for i in 0..buf.len() {
-                        acc += buf.get(i);
-                    }
-                    acc
-                });
-                for w in &folds {
-                    assert_eq!(w.to_bits(), folds[0].to_bits());
-                }
-                folds[0]
-            })
-        };
-        let reference = run_at(1);
-        for t in [2, 4] {
-            assert_eq!(run_at(t).to_bits(), reference.to_bits());
-        }
-    }
-
-    #[test]
-    fn shared_buf_round_trips_exact_bits() {
-        let buf = SharedF64Buf::new(3);
-        assert_eq!(buf.len(), 3);
-        assert!(!buf.is_empty());
-        for v in [0.0, -0.0, 1.5e-300, f64::INFINITY, f64::MIN_POSITIVE] {
-            buf.set(1, v);
-            assert_eq!(buf.get(1).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
     fn shadow_checker_passes_clean_launches() {
+        // A correct launch at an oversubscribed count passes its armed
+        // claim-table check (a bad table panics at launch instead).
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_shadow_override(Some(true));
         set_thread_override(Some(3));
-        let before = shadow::violation_count();
         let mut data = vec![0u32; 37];
         par_chunks_mut(&mut data, 4, Cutoff::NONE, |_, c| {
             for x in c.iter_mut() {
@@ -1055,40 +754,6 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&x| x == 1));
-        let buf = SharedF64Buf::new(8);
-        let mut rows = vec![0.0f64; 8];
-        team_split_mut(&mut rows, 1, 1, Cutoff::NONE, |ctx, mine| {
-            // Each worker publishes only its own slots: disjoint by
-            // construction, so the checker must stay silent.
-            for k in 0..mine.len() {
-                buf.set(ctx.first_item + k, ctx.worker as f64);
-            }
-            ctx.sync();
-        });
-        assert!(buf.shadow_violations().is_empty());
-        assert_eq!(shadow::violation_count(), before);
-        set_thread_override(None);
-        set_shadow_override(None);
-    }
-
-    #[test]
-    fn shadow_checker_catches_same_phase_slot_conflict() {
-        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_shadow_override(Some(true));
-        set_thread_override(Some(2));
-        let before = shadow::violation_count();
-        let buf = SharedF64Buf::new(4);
-        let mut rows = vec![0.0f64; 8]; // 2 grain-4 blocks => 2 workers
-        team_split_mut(&mut rows, 1, 4, Cutoff::NONE, |ctx, _mine| {
-            // Both workers store slot 0 between the same barrier pair:
-            // an unordered publication the barrier cannot sequence.
-            buf.set(0, ctx.worker as f64);
-            ctx.sync();
-        });
-        let v = buf.shadow_violations();
-        assert_eq!(v.len(), 1, "expected exactly one conflict: {v:?}");
-        assert!(v[0].contains("slot 0"), "{}", v[0]);
-        assert_eq!(shadow::violation_count(), before + 1);
         set_thread_override(None);
         set_shadow_override(None);
     }

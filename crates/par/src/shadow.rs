@@ -1,44 +1,30 @@
 //! The shadow-access checker: an in-house race detector for the
 //! deterministic parallel layer.
 //!
-//! Every mutable-split primitive in this crate (`par_chunks_mut`,
-//! `team_split_mut`) rests on one invariant: the element ranges handed
-//! to the workers are **pairwise disjoint and cover the input exactly**.
-//! The borrow checker enforces this for the `split_at_mut` calls
-//! themselves, but not for the *claim arithmetic* that feeds them — an
-//! off-by-one in the worker-run computation would silently skip or
-//! double-visit elements, which is exactly the bug class that breaks
-//! bit-identity across thread counts. [`SharedF64Buf`] writes are the
-//! other race surface: the barrier protocol only orders writes in
-//! *different* phases, so two workers storing the same slot between the
-//! same pair of barriers is an unordered (racy) publication even though
-//! each store is atomic.
+//! The mutable-split primitive `par_chunks_mut` rests on one invariant:
+//! the element ranges handed to the workers are **pairwise disjoint and
+//! cover the input exactly**. The borrow checker enforces this for the
+//! `split_at_mut` calls themselves, but not for the *claim arithmetic*
+//! that feeds them — an off-by-one in the worker-run computation would
+//! silently skip or double-visit elements, which is exactly the bug
+//! class that breaks bit-identity across thread counts.
 //!
 //! When the checker is enabled (`NCS_SHADOW=1` or
 //! [`set_shadow_override`]), launches verify their claim tables before
-//! spawning and every [`SharedF64Buf`] write is recorded against the
-//! writer's `(worker, barrier phase)` so same-phase same-slot conflicts
-//! are detected. It is a debug/test facility: the checker is off by
-//! default and costs one branch per launch when disabled.
-//!
-//! [`SharedF64Buf`]: crate::SharedF64Buf
+//! spawning and panic on a violation. It is a debug/test facility: the
+//! checker is off by default and costs one branch per launch when
+//! disabled.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Shadow-checker override: 0 unset, 1 forced off, 2 forced on.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// `NCS_SHADOW`, resolved once per process.
 static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Process-wide count of shadow violations observed on the dynamic
-/// (slot-write) side. Monotonic; see [`violation_count`].
-static VIOLATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether the shadow-access checker is active.
 ///
@@ -69,13 +55,6 @@ pub fn set_shadow_override(v: Option<bool>) {
         Some(true) => 2,
     };
     OVERRIDE.store(raw, Ordering::Relaxed);
-}
-
-/// Total shadow violations recorded on the dynamic (slot-write) side
-/// since process start. Monotonic: tests snapshot it before a checked
-/// region and assert it is unchanged after.
-pub fn violation_count() -> usize {
-    VIOLATIONS.load(Ordering::Relaxed)
 }
 
 /// A violated claim-table invariant.
@@ -175,9 +154,8 @@ pub fn verify_claims(total: usize, claims: &[Range<usize>]) -> Result<(), Shadow
     Ok(())
 }
 
-/// Launch-side assertion used by `par_chunks_mut` / `team_split_mut`
-/// before any worker spawns (so a violation can never deadlock a
-/// barrier).
+/// Launch-side assertion used by `par_chunks_mut` before any worker
+/// spawns, so a violation surfaces on the launching thread.
 ///
 /// # Panics
 ///
@@ -186,105 +164,6 @@ pub fn verify_claims(total: usize, claims: &[Range<usize>]) -> Result<(), Shadow
 pub(crate) fn check_launch(primitive: &str, total: usize, claims: &[Range<usize>]) {
     if let Err(e) = verify_claims(total, claims) {
         panic!("ncs-par shadow-access checker: {primitive} claim table is invalid: {e}");
-    }
-}
-
-thread_local! {
-    /// The `(worker, barrier phase)` identity of the current thread
-    /// while it runs inside a shadow-checked team body.
-    static TEAM_IDENTITY: Cell<Option<(usize, u32)>> = const { Cell::new(None) };
-}
-
-/// RAII guard installing this thread's team identity for the duration
-/// of a team body. A disabled checker installs nothing.
-pub(crate) struct TeamIdentityGuard {
-    installed: bool,
-}
-
-/// Marks the current thread as `worker` in barrier phase 0.
-pub(crate) fn enter_team(worker: usize) -> TeamIdentityGuard {
-    if !enabled() {
-        return TeamIdentityGuard { installed: false };
-    }
-    TEAM_IDENTITY.with(|c| c.set(Some((worker, 0))));
-    TeamIdentityGuard { installed: true }
-}
-
-impl Drop for TeamIdentityGuard {
-    fn drop(&mut self) {
-        if self.installed {
-            TEAM_IDENTITY.with(|c| c.set(None));
-        }
-    }
-}
-
-/// Advances this worker's barrier phase. Called by [`TeamCtx::sync`]
-/// after the barrier: all workers pass a barrier together, so their
-/// phase counters agree on both sides of it.
-///
-/// [`TeamCtx::sync`]: crate::TeamCtx::sync
-pub(crate) fn bump_phase() {
-    TEAM_IDENTITY.with(|c| {
-        if let Some((worker, phase)) = c.get() {
-            c.set(Some((worker, phase.saturating_add(1))));
-        }
-    });
-}
-
-/// Per-buffer shadow state for [`SharedF64Buf`]: which `(phase, slot)`
-/// pairs have been written, and by whom.
-///
-/// [`SharedF64Buf`]: crate::SharedF64Buf
-#[derive(Debug)]
-pub(crate) struct ShadowSlots {
-    /// `(phase, slot)` → first writer observed.
-    writes: Mutex<BTreeMap<(u32, usize), usize>>,
-    /// Human-readable descriptions of conflicts seen on this buffer.
-    violations: Mutex<Vec<String>>,
-}
-
-impl ShadowSlots {
-    pub(crate) fn new() -> Self {
-        ShadowSlots {
-            writes: Mutex::new(BTreeMap::new()),
-            violations: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Records a write to `slot` by the current team worker. Writes
-    /// from outside a team body (single-threaded setup by the caller)
-    /// are not tracked — they are ordered by the spawn itself.
-    ///
-    /// A same-phase same-slot write by a *different* worker is a
-    /// violation: the barrier protocol provides no ordering between the
-    /// two stores. Violations are recorded (never panicked) so a
-    /// detected race cannot strand the other workers at a barrier.
-    pub(crate) fn record(&self, slot: usize) {
-        let Some((worker, phase)) = TEAM_IDENTITY.with(Cell::get) else {
-            return;
-        };
-        let mut writes = self.writes.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&prev) = writes.get(&(phase, slot)) {
-            if prev != worker {
-                let msg = format!(
-                    "SharedF64Buf slot {slot} written by worker {prev} and worker {worker} in \
-                     barrier phase {phase}: same-phase writes to one slot are unordered; separate \
-                     them with TeamCtx::sync"
-                );
-                VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-                self.violations
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(msg);
-            }
-        } else {
-            writes.insert((phase, slot), worker);
-        }
-    }
-
-    /// Drains and returns the conflicts recorded on this buffer.
-    pub(crate) fn take_violations(&self) -> Vec<String> {
-        std::mem::take(&mut *self.violations.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -351,36 +230,5 @@ mod tests {
                 total: 10
             }
         );
-    }
-
-    #[test]
-    fn slot_writes_conflict_only_across_workers_in_one_phase() {
-        let slots = ShadowSlots::new();
-        // Worker 0, phase 0 writes slot 3 twice: no conflict.
-        let g = {
-            TEAM_IDENTITY.with(|c| c.set(Some((0, 0))));
-            TeamIdentityGuard { installed: true }
-        };
-        slots.record(3);
-        slots.record(3);
-        assert!(slots.take_violations().is_empty());
-        drop(g);
-        // Worker 1, same phase, same slot: conflict.
-        let g = {
-            TEAM_IDENTITY.with(|c| c.set(Some((1, 0))));
-            TeamIdentityGuard { installed: true }
-        };
-        slots.record(3);
-        let v = slots.take_violations();
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("slot 3"));
-        // Worker 1 in a *later* phase: ordered by the barrier, fine.
-        bump_phase();
-        slots.record(3);
-        assert!(slots.take_violations().is_empty());
-        drop(g);
-        // Outside any team body, writes are untracked.
-        slots.record(3);
-        assert!(slots.take_violations().is_empty());
     }
 }
