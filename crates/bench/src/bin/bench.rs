@@ -29,11 +29,11 @@
 use autoncs::AutoNcs;
 use ncs_bench::{report_artifact, testbench, BenchGroup, SEED};
 use ncs_cluster::{
-    full_crossbar, gcp, kmeans, msc, spectral_embedding, traversing, CompressionOptions,
-    GcpOptions, GroupDeletionOptions, Isc, IscOptions,
+    full_crossbar, gcp, msc, spectral_embedding, traversing, CompressionOptions, GcpOptions,
+    GroupDeletionOptions, Isc, IscOptions,
 };
 use ncs_linalg::optimize::{minimize, CgOptions};
-use ncs_linalg::{CsrMatrix, DenseMatrix, SymmetricEigen, Triplet};
+use ncs_linalg::{DenseMatrix, SymmetricEigen};
 use ncs_net::{generators, HopfieldNetwork, PatternSet, Testbench, TestbenchSpec};
 use ncs_phys::{
     detailed_swap, detailed_swap_reference, place, route, Netlist, PlaceAlgorithm, PlacerOptions,
@@ -253,9 +253,10 @@ fn linalg() {
     report_artifact(&group.write_json());
 }
 
-/// Serial-vs-parallel speedups of the kernels behind the deterministic
-/// parallel layer (`ncs-par`). Each kernel is timed with the thread
-/// override pinned to 1 (the true serial code path) and at 4 workers;
+/// Serial-vs-parallel speedups of the flow's remaining `ncs-par`
+/// launches: the QL rotation replay and the CG placer's gradient folds.
+/// Each kernel is timed with the thread override pinned to 1 (the true
+/// serial code path) and at 4 workers;
 /// `results/BENCH_par.json` records both medians, the speedup factor,
 /// and `hardware_threads`. On a single-core host the factor hovers at or
 /// below 1.0 by construction — the artifact exists so multi-core CI can
@@ -292,46 +293,8 @@ fn par() {
         SymmetricEigen::new(&a).unwrap()
     });
 
-    // Sparse matvec: ~16k nonzeros clears the parallel threshold; 32
-    // products per iteration make a timeable unit.
-    let dim = 2000;
-    let mut triplets = Vec::new();
-    let mut s = 7u64;
-    for _ in 0..16_000 {
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let r = (s >> 33) as usize % dim;
-        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let c = (s >> 33) as usize % dim;
-        triplets.push(Triplet::new(r, c, 1.0 + (r + c) as f64 / dim as f64));
-    }
-    let csr = CsrMatrix::from_triplets(dim, dim, &triplets).unwrap();
-    let x: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.17).sin()).collect();
-    group.bench_speedup("csr_matvec/2000", threads, || {
-        let mut y = vec![0.0; dim];
-        for _ in 0..32 {
-            csr.matvec_into(&x, &mut y);
-        }
-        y
-    });
-
-    // K-means assignment: n*k*dim = 2048*16*8 clears the threshold.
-    let pts = {
-        let npts = 2048;
-        let dim = 8;
-        let mut data = Vec::with_capacity(npts * dim);
-        let mut s = 3u64;
-        for _ in 0..npts * dim {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            data.push(((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5);
-        }
-        DenseMatrix::from_vec(npts, dim, data).unwrap()
-    };
-    group.bench_speedup("kmeans/2048x8", threads, || {
-        kmeans(&pts, 16, SEED, 30).unwrap()
-    });
-
-    // Placement and routing on the same hybrid mapping the
-    // physical_design group uses.
+    // Placement on the same hybrid mapping the physical_design group
+    // uses: the CG placer's gradient folds fan out over their chunks.
     let net = generators::planted_clusters(128, 4, 0.4, 0.01, SEED)
         .unwrap()
         .0;
@@ -345,10 +308,6 @@ fn par() {
     let nl = Netlist::from_mapping(&hybrid, &tech);
     group.bench_speedup("placement/hybrid128", threads, || {
         place(&nl, &PlacerOptions::fast()).unwrap()
-    });
-    let p = place(&nl, &PlacerOptions::fast()).unwrap();
-    group.bench_speedup("routing/hybrid128", threads, || {
-        route(&nl, &p, &tech, &RouterOptions::default()).unwrap()
     });
 
     report_artifact(&group.write_json());

@@ -140,27 +140,13 @@ fn plus_plus_init(points: &DenseMatrix, k: usize, rng: &mut Rng) -> DenseMatrix 
     centroids
 }
 
-/// Minimum `n * k * dim` distance-op count before the assignment step
-/// fans out to the [`ncs_par`] thread team.
-const ASSIGN_MIN_WORK: usize = 16 * 1024;
-
-/// Points per parallel assignment chunk.
-const ASSIGN_GRAIN: usize = 128;
-
-/// Labels points `i0..i0 + out.len()` with their nearest centroid,
-/// returning whether any label changed. Shared by the serial and
-/// parallel paths of the Lloyd assignment step.
+/// Labels every point with its nearest centroid (the lowest index on a
+/// tie), returning whether any label changed.
 // ncs-lint: hot
-fn assign_chunk(
-    points: &DenseMatrix,
-    centroids: &DenseMatrix,
-    i0: usize,
-    out: &mut [usize],
-) -> bool {
+fn assign_chunk(points: &DenseMatrix, centroids: &DenseMatrix, out: &mut [usize]) -> bool {
     let k = centroids.nrows();
     let mut changed = false;
-    for (off, slot) in out.iter_mut().enumerate() {
-        let i = i0 + off;
+    for (i, slot) in out.iter_mut().enumerate() {
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
         for c in 0..k {
@@ -189,19 +175,8 @@ fn lloyd(
     let mut assignment = vec![0usize; n];
     let mut iterations = 0;
     loop {
-        // Assignment step: each point's label is a pure function of
-        // (point, centroids), so point chunks fan out across the
-        // ncs-par team with a plain OR over the per-chunk change flags;
-        // the labels are identical at any thread count.
-        // Each point costs k*dim distance ops, so the cutoff engages at
-        // the calibrated n*k*dim work floor.
-        let cutoff = ncs_par::Cutoff::min_work(ASSIGN_MIN_WORK).work_per_item(k * dim);
-        let mut changed =
-            ncs_par::par_chunks_mut(&mut assignment, ASSIGN_GRAIN, cutoff, |i0, chunk| {
-                assign_chunk(points, &centroids, i0, chunk)
-            })
-            .into_iter()
-            .any(|c| c);
+        // Assignment step.
+        let mut changed = assign_chunk(points, &centroids, &mut assignment);
         // Update step.
         let mut sums = DenseMatrix::zeros(k, dim);
         let mut counts = vec![0usize; k];
@@ -322,33 +297,6 @@ mod tests {
         assert_eq!(r.assignment.len(), 5);
         // All clusters non-empty thanks to repair.
         assert!(r.sizes().iter().all(|&s| s >= 1));
-    }
-
-    #[test]
-    fn assignment_is_identical_across_thread_counts() {
-        // Large enough that n * k * dim exceeds ASSIGN_MIN_WORK, so the
-        // parallel assignment path genuinely engages.
-        let n = 1024;
-        let dim = 4;
-        let mut data = Vec::with_capacity(n * dim);
-        let mut state = 0x2545f4914f6cdd1d_u64;
-        for _ in 0..n * dim {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            data.push(((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5);
-        }
-        let pts = DenseMatrix::from_vec(n, dim, data).unwrap();
-        let at = |t: usize| {
-            ncs_par::set_thread_override(Some(t));
-            let r = kmeans(&pts, 8, 13, 50);
-            ncs_par::set_thread_override(None);
-            r.unwrap()
-        };
-        let base = at(1);
-        for t in [2, 4] {
-            assert_eq!(base, at(t), "kmeans result differs at t={t}");
-        }
     }
 
     #[test]

@@ -46,42 +46,17 @@ pub fn spectral_embedding(net: &ConnectionMatrix) -> Result<GeneralizedEigen, Cl
     // `sym` is symmetric by construction, so its out-degrees *are* the
     // undirected node degrees — no second symmetrized copy needed.
     let degrees: Vec<f64> = sym.out_degrees().into_iter().map(|d| d as f64).collect();
+    // Diagonal = degree, minus one per neighbour — including a self-loop
+    // hitting the diagonal.
     let mut laplacian = DenseMatrix::zeros(n, n);
-    // Each Laplacian row depends only on (sym, degrees), so row chunks
-    // fan out across the ncs-par team; the entries are identical at any
-    // thread count.
-    // Items are matrix entries (n²); the cutoff engages at the
-    // calibrated LAPLACIAN_MIN_N network order.
-    let cutoff = ncs_par::Cutoff::min_work(LAPLACIAN_MIN_N * LAPLACIAN_MIN_N);
-    ncs_par::par_chunks_mut(
-        laplacian.as_mut_slice(),
-        LAPLACIAN_ROW_GRAIN * n,
-        cutoff,
-        |start, c| {
-            laplacian_rows(&sym, &degrees, start / n, c);
-        },
-    );
-    Ok(GeneralizedEigen::new(&laplacian, &degrees)?)
-}
-
-/// Rows per parallel Laplacian-build chunk.
-const LAPLACIAN_ROW_GRAIN: usize = 32;
-
-/// Minimum network size before the Laplacian build fans out.
-const LAPLACIAN_MIN_N: usize = 64;
-
-/// Fills Laplacian rows `row0..` (`out` is a run of complete rows of
-/// width `n`): diagonal = degree, minus one per neighbour — including a
-/// self-loop hitting the diagonal, exactly like the serial triplet walk.
-fn laplacian_rows(sym: &ConnectionMatrix, degrees: &[f64], row0: usize, out: &mut [f64]) {
-    let n = sym.neurons();
-    for (ri, row) in out.chunks_mut(n).enumerate() {
-        let i = row0 + ri;
-        row[i] = degrees[i];
+    for (i, &d) in degrees.iter().enumerate() {
+        let row = laplacian.row_mut(i);
+        row[i] = d;
         for j in sym.row_neighbors(i) {
             row[j] -= 1.0;
         }
     }
+    Ok(GeneralizedEigen::new(&laplacian, &degrees)?)
 }
 
 /// **Modified Spectral Clustering** (Algorithm 1).

@@ -251,7 +251,7 @@ const TRED2_GRAIN: usize = 32;
 const EIGEN_MIN_WORK: usize = 128 * 128 * 128;
 
 /// The eigensolver cutoff for an order-`n` problem: `n` row-items at
-/// ~`n²` work each, engaging the pool once n³ reaches
+/// ~`n²` work each, spawning workers once n³ reaches
 /// [`EIGEN_MIN_WORK`]. A pure function of `n`, so the inline/dispatch
 /// decision (and its trace counters) never depends on the thread count.
 fn eigen_cutoff(n: usize) -> ncs_par::Cutoff {
@@ -406,7 +406,7 @@ fn row_dots(a: &[f64], n: usize, u: &[f64], p: &mut [f64]) {
 
 /// Rows per strip in the `tql2` rotation replay. Each rotation updates
 /// two strip-wide lane vectors of the strip's tile, so this sets the
-/// vector length of the replay's inner loop (and the pool's load
+/// vector length of the replay's inner loop (and the workers' load
 /// balance). Every row still receives the identical rotation sequence,
 /// so the strip width cannot affect result bits.
 const TQL2_STRIP_GRAIN: usize = 16;

@@ -179,48 +179,6 @@ impl DenseMatrix {
         t
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Output rows are computed independently (row-parallel over
-    /// [`ncs_par`] above [`MATMUL_MIN_WORK`] flops), with arithmetic per
-    /// row identical to the serial loop — the result is bit-identical at
-    /// any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if inner dimensions differ.
-    pub fn matmul(&self, rhs: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.cols, rhs.cols),
-                found: (rhs.rows, rhs.cols),
-            });
-        }
-        let ocols = rhs.cols;
-        if ocols == 0 {
-            // Degenerate rows×0 product: nothing to compute, and the
-            // grain below (`MATMUL_ROW_GRAIN * ocols`) would collapse to
-            // a nonsensical one-element chunk grid.
-            return Ok(DenseMatrix::zeros(self.rows, 0));
-        }
-        let mut out = DenseMatrix::zeros(self.rows, ocols);
-        // Items are output elements (rows*ocols), each costing one
-        // inner-dimension dot: total work = rows*cols*ocols flops, the
-        // unit MATMUL_MIN_WORK is calibrated in.
-        let cutoff = ncs_par::Cutoff::min_work(MATMUL_MIN_WORK).work_per_item(self.cols);
-        // Grain is a whole number of output rows, so every chunk is
-        // a run of complete rows and `start / ocols` is exact.
-        ncs_par::par_chunks_mut(
-            out.as_mut_slice(),
-            MATMUL_ROW_GRAIN * ocols,
-            cutoff,
-            |start, c| {
-                matmul_rows(self, rhs, start / ocols, c);
-            },
-        );
-        Ok(out)
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors
@@ -261,35 +219,6 @@ impl DenseMatrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-}
-
-/// Minimum `rows * inner * cols` flop count before `matmul` fans out to
-/// the [`ncs_par`] thread team; below this, spawn overhead dominates.
-const MATMUL_MIN_WORK: usize = 32 * 1024;
-
-/// Output rows per parallel `matmul` chunk.
-const MATMUL_ROW_GRAIN: usize = 8;
-
-/// Computes output rows `row0..` of `a * rhs` into `out_rows` (a run of
-/// complete rows). Shared by the serial and parallel paths of
-/// [`DenseMatrix::matmul`] so their per-row arithmetic is literally the
-/// same code.
-fn matmul_rows(a: &DenseMatrix, rhs: &DenseMatrix, row0: usize, out_rows: &mut [f64]) {
-    let ocols = rhs.cols;
-    for (ri, orow) in out_rows.chunks_mut(ocols).enumerate() {
-        let i = row0 + ri;
-        for k in 0..a.cols {
-            let v = a[(i, k)];
-            // ncs-lint: allow(float-eq) — exact-zero sparsity skip; approximate zeros must still multiply
-            if v == 0.0 {
-                continue;
-            }
-            let rrow = rhs.row(k);
-            for (o, &b) in orow.iter_mut().zip(rrow) {
-                *o += v * b;
-            }
-        }
     }
 }
 
@@ -368,106 +297,6 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
-        let i = DenseMatrix::identity(2);
-        assert_eq!(m.matmul(&i).unwrap(), m);
-        assert_eq!(i.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
-        let b = DenseMatrix::from_rows(&[&[5.0, 6.0][..], &[7.0, 8.0][..]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn matmul_dimension_mismatch() {
-        let a = DenseMatrix::zeros(2, 3);
-        let b = DenseMatrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matmul_with_zero_width_rhs() {
-        // rows×0 product: must return an empty rows×0 matrix, not panic
-        // on a zero-sized chunk grain.
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
-        let b = DenseMatrix::zeros(2, 0);
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape(), (2, 0));
-        assert!(c.as_slice().is_empty());
-        // Zero-row lhs against it, too.
-        let empty = DenseMatrix::zeros(0, 2);
-        assert_eq!(empty.matmul(&b).unwrap().shape(), (0, 0));
-    }
-
-    #[test]
-    fn matmul_single_column_rhs_matches_matvec() {
-        // ocols == 1 exercises the smallest legal grain (one chunk per
-        // MATMUL_ROW_GRAIN rows); the result must equal matvec exactly.
-        let a = DenseMatrix::from_rows(&[
-            &[1.5, -2.0, 0.25][..],
-            &[0.0, 3.0, -1.0][..],
-            &[4.0, 0.5, 2.0][..],
-        ])
-        .unwrap();
-        let v = [2.0, -1.0, 0.5];
-        let mut b = DenseMatrix::zeros(3, 1);
-        for (i, &x) in v.iter().enumerate() {
-            b[(i, 0)] = x;
-        }
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.shape(), (3, 1));
-        let mv = a.matvec(&v).unwrap();
-        for i in 0..3 {
-            assert_eq!(c[(i, 0)].to_bits(), mv[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn matmul_is_bit_identical_across_thread_counts() {
-        // 48^3 flops exceeds MATMUL_MIN_WORK, so the team path engages.
-        let n = 48;
-        let mut a = DenseMatrix::zeros(n, n);
-        let mut b = DenseMatrix::zeros(n, n);
-        let mut state = 0x9e3779b97f4a7c15_u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = next();
-                b[(i, j)] = next();
-            }
-        }
-        let at = |t: usize| {
-            ncs_par::set_thread_override(Some(t));
-            let c = a.matmul(&b).unwrap();
-            ncs_par::set_thread_override(None);
-            c
-        };
-        let base = at(1);
-        for t in [2, 4] {
-            let c = at(t);
-            let same = base
-                .as_slice()
-                .iter()
-                .zip(c.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "matmul bits differ at t={t}");
-        }
     }
 
     #[test]

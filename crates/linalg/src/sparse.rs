@@ -213,10 +213,7 @@ impl CsrMatrix {
     /// hot loops (e.g. one call per Lanczos iteration) where the shapes
     /// are fixed by construction.
     ///
-    /// Rows are independent dot products, so above [`MATVEC_MIN_NNZ`]
-    /// stored entries they are computed in row chunks across the
-    /// [`ncs_par`] thread team; each row's arithmetic is identical either
-    /// way, so the output bits never depend on the thread count.
+    /// Each row is one ascending dot product over its stored entries.
     ///
     /// # Panics
     ///
@@ -224,17 +221,9 @@ impl CsrMatrix {
     /// `out` is shorter than `nrows()`.
     // ncs-lint: hot
     pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) {
-        let out = &mut out[..self.rows];
-        // Work per row is the average stored entries per row, so the
-        // cutoff engages at (rounding aside) nnz >= MATVEC_MIN_NNZ — a
-        // pure function of the matrix shape, never of the thread count.
-        let per_row = self.values.len().checked_div(self.rows).unwrap_or(1).max(1);
-        let cutoff = ncs_par::Cutoff::min_work(MATVEC_MIN_NNZ).work_per_item(per_row);
-        ncs_par::par_chunks_mut(out, MATVEC_ROW_GRAIN, cutoff, |row0, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = self.row_entries(row0 + k).map(|(c, val)| val * v[c]).sum();
-            }
-        });
+        for (r, slot) in out[..self.rows].iter_mut().enumerate() {
+            *slot = self.row_entries(r).map(|(c, val)| val * v[c]).sum();
+        }
     }
 
     /// Row sums — for a graph adjacency matrix these are the node degrees.
@@ -362,13 +351,6 @@ impl CsrBuilder {
     }
 }
 
-/// Minimum stored-entry count before `matvec_into` fans out to the
-/// [`ncs_par`] thread team; below this, spawn overhead dominates.
-const MATVEC_MIN_NNZ: usize = 4096;
-
-/// Output rows per parallel `matvec_into` chunk.
-const MATVEC_ROW_GRAIN: usize = 256;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,48 +413,6 @@ mod tests {
         let dense = m.to_dense().matvec(&v).unwrap();
         assert_eq!(sparse, dense);
         assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn matvec_is_bit_identical_across_thread_counts() {
-        // Deterministic sparse matrix with enough stored entries to
-        // engage the parallel row-chunked path.
-        let n = 600;
-        let mut state = 0xdeadbeefcafef00d_u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let mut trips = Vec::new();
-        while trips.len() < 8000 {
-            let r = (next() >> 33) as usize % n;
-            let c = (next() >> 33) as usize % n;
-            let v = ((next() >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-            trips.push(Triplet::new(r, c, v));
-        }
-        let m = CsrMatrix::from_triplets(n, n, &trips).unwrap();
-        assert!(
-            m.nnz() >= MATVEC_MIN_NNZ,
-            "test must engage the parallel path"
-        );
-        let v: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let at = |t: usize| {
-            ncs_par::set_thread_override(Some(t));
-            let out = m.matvec(&v).unwrap();
-            ncs_par::set_thread_override(None);
-            out
-        };
-        let base = at(1);
-        for t in [2, 4] {
-            let out = at(t);
-            let same = base
-                .iter()
-                .zip(&out)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "matvec bits differ at t={t}");
-        }
     }
 
     #[test]

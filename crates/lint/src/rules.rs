@@ -97,7 +97,7 @@ const CRATE_LAYERS: &[(&str, &[&str])] = &[
     ("linalg", &["par", "trace", "rng"]),
     ("net", &["linalg", "rng"]),
     ("xbar", &["linalg", "rng"]),
-    ("cluster", &["linalg", "net", "rng", "par", "trace"]),
+    ("cluster", &["linalg", "net", "rng", "trace"]),
     (
         "phys",
         &["par", "trace", "linalg", "tech", "cluster", "net", "rng"],
@@ -189,8 +189,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "crate-layering",
-        summary: "use declarations must follow the crate DAG (core -> flow -> \
-                  numerics -> infrastructure); no back-edges",
+        summary: "use declarations and qualified call paths must follow the \
+                  crate DAG (core -> flow -> numerics -> infrastructure); no \
+                  back-edges",
     },
     Rule {
         name: "alloc-in-hot-loop",
@@ -616,7 +617,9 @@ fn env_read_audit(lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<Diagnostic
     }
 }
 
-/// `crate-layering`: `use ncs_*::...` roots must respect the DAG.
+/// `crate-layering`: the `ncs_*` roots of `use` declarations and of
+/// qualified call paths (`ncs_par::par_map(...)`, which needs no `use`)
+/// must respect the DAG.
 fn crate_layering(syn: &Syntax, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     let Some(crate_name) = ctx.crate_name.as_deref() else {
         return;
@@ -624,11 +627,17 @@ fn crate_layering(syn: &Syntax, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     let Some(&(_, allowed)) = CRATE_LAYERS.iter().find(|(c, _)| *c == crate_name) else {
         return;
     };
-    for decl in &syn.uses {
-        if decl.in_test {
+    let uses = syn.uses.iter().map(|u| (&u.root, u.line, 1, u.in_test));
+    let calls = syn
+        .calls
+        .iter()
+        .filter(|c| c.path.len() > 1)
+        .map(|c| (&c.path[0], c.line, c.col, c.in_test));
+    for (root, line, col, in_test) in uses.chain(calls) {
+        if in_test {
             continue;
         }
-        let dep = match decl.root.as_str() {
+        let dep = match root.as_str() {
             "autoncs" => "core",
             r => match r.strip_prefix("ncs_") {
                 Some(d) => d,
@@ -640,9 +649,9 @@ fn crate_layering(syn: &Syntax, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
         }
         let anchor = Token {
             kind: TokenKind::Ident,
-            text: decl.root.clone(),
-            line: decl.line,
-            col: 1,
+            text: root.clone(),
+            line,
+            col,
             in_test: false,
         };
         out.push(diag(
@@ -650,9 +659,8 @@ fn crate_layering(syn: &Syntax, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
             "crate-layering",
             &anchor,
             format!(
-                "crate `{crate_name}` may not import `{}`: back-edge in the crate \
+                "crate `{crate_name}` may not import `{root}`: back-edge in the crate \
                  DAG (allowed: {})",
-                decl.root,
                 if allowed.is_empty() {
                     "none".to_string()
                 } else {
@@ -997,6 +1005,26 @@ mod tests {
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].line, 2);
         assert!(ds[0].message.contains("`ncs_phys`"));
+    }
+
+    #[test]
+    fn layering_flags_qualified_calls_without_a_use() {
+        // Clustering makes no parallel launch: a qualified ncs_par call
+        // is a back-edge even with no `use ncs_par` in the file.
+        let mut ctx = strict_ctx();
+        ctx.crate_name = Some("cluster".to_string());
+        let src = "fn f(xs: &mut [f64], c: ncs_par::Cutoff) {\n    \
+                   ncs_par::par_chunks_mut(xs, 8, c, |_, _| ());\n    \
+                   ncs_trace::add(\"x\", 1);\n}\n";
+        let ds: Vec<_> = check_file(&lex(src), &ctx)
+            .into_iter()
+            .filter(|d| d.rule == "crate-layering")
+            .collect();
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds[0].line, 2);
+        assert!(ds[0]
+            .message
+            .contains("crate `cluster` may not import `ncs_par`"));
     }
 
     #[test]

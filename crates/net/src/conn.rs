@@ -38,18 +38,25 @@ impl ConnectionMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::EmptyRequest`] for `n == 0`.
+    /// Returns [`NetError::EmptyRequest`] for `n == 0` and
+    /// [`NetError::TooLarge`] when the `n × n` bitmap overflows `usize`
+    /// or cannot be allocated.
     pub fn empty(n: usize) -> Result<Self, NetError> {
         if n == 0 {
             return Err(NetError::EmptyRequest {
                 what: "connection matrix",
             });
         }
+        let too_large = || NetError::TooLarge { neurons: n };
         let words_per_row = n.div_ceil(64);
+        let words = n.checked_mul(words_per_row).ok_or_else(too_large)?;
+        let mut bits = Vec::new();
+        bits.try_reserve_exact(words).map_err(|_| too_large())?;
+        bits.resize(words, 0);
         Ok(ConnectionMatrix {
             n,
             words_per_row,
-            bits: vec![0; n * words_per_row],
+            bits,
         })
     }
 

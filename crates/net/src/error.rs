@@ -41,6 +41,12 @@ pub enum NetError {
         /// The offending value.
         value: f64,
     },
+    /// The `n × n` connection bitmap overflows `usize` or cannot be
+    /// allocated.
+    TooLarge {
+        /// The requested network size.
+        neurons: usize,
+    },
 }
 
 // `InvalidSparsity`/`InvalidFraction` hold f64 but only for reporting;
@@ -68,6 +74,12 @@ impl fmt::Display for NetError {
             }
             NetError::InvalidFraction { what, value } => {
                 write!(f, "{what} {value} must lie in (0, 1]")
+            }
+            NetError::TooLarge { neurons } => {
+                write!(
+                    f,
+                    "cannot allocate a connection matrix for {neurons} neurons"
+                )
             }
         }
     }

@@ -95,7 +95,8 @@ impl From<NetError> for ParseNetError {
 /// # Errors
 ///
 /// Returns [`ParseNetError`] for I/O failures, malformed lines, a missing
-/// header, or out-of-range indices.
+/// or repeated header, a network too large to allocate, or out-of-range
+/// indices.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<ConnectionMatrix, ParseNetError> {
     let reader = BufReader::new(reader);
     let mut net: Option<ConnectionMatrix> = None;
@@ -107,6 +108,12 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<ConnectionMatrix, ParseNetEr
             continue;
         }
         if let Some(rest) = trimmed.strip_prefix("neurons") {
+            if net.is_some() {
+                return Err(ParseNetError::Syntax {
+                    line: line_no,
+                    message: "repeated 'neurons' header".to_string(),
+                });
+            }
             let n: usize = rest.trim().parse().map_err(|e| ParseNetError::Syntax {
                 line: line_no,
                 message: format!("bad neuron count {:?}: {e}", rest.trim()),
@@ -203,6 +210,21 @@ mod tests {
         assert!(matches!(err, ParseNetError::Syntax { line: 2, .. }));
         let err = read_edge_list("neurons zero\n".as_bytes()).unwrap_err();
         assert!(matches!(err, ParseNetError::Syntax { line: 1, .. }));
+        // A second header would otherwise replace the matrix and drop
+        // every edge read before it.
+        let err = read_edge_list("neurons 3\n0 1\n1 2\nneurons 5\n3 4\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, ParseNetError::Syntax { line: 4, .. }));
+    }
+
+    #[test]
+    fn unallocatable_neuron_count_is_a_net_error() {
+        for n in ["4000000000", "18446744073709551615"] {
+            let err = read_edge_list(format!("neurons {n}\n0 1\n").as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ParseNetError::Net(NetError::TooLarge { .. })),
+                "neurons {n}: {err:?}"
+            );
+        }
     }
 
     #[test]

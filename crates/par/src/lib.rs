@@ -15,18 +15,24 @@
 //! barriers and no shared exchange buffers; a kernel that needs a serial
 //! step between parallel phases makes two launches.
 //!
+//! There is no persistent thread pool either: a launch that engages
+//! spawns its workers with [`std::thread::scope`] and joins them before
+//! it returns, so every launch pays OS thread creation and teardown.
+//! (`pool_threads` and the `par.pool_dispatches` counter keep their
+//! names; a "pool dispatch" is one such spawn-and-join launch.)
+//!
 //! # Serial cutoffs
 //!
-//! Pool dispatch costs tens of microseconds; a small kernel loses more
-//! to spawning than it gains from extra cores. Every primitive
-//! therefore takes a [`Cutoff`]: a calibrated minimum amount of work
-//! below which the launch runs inline on the calling thread, with the
-//! **same chunk grid and fold order**, so results are bit-identical on
-//! both sides of the cutoff. The engage/fallback decision is a pure
-//! function of the problem size — never of the thread count — and is
-//! surfaced through two trace counters, `par.pool_dispatches` and
-//! `par.inline_fallbacks`, which therefore also stay bit-identical
-//! across thread counts.
+//! Spawning and joining workers costs tens of microseconds per launch;
+//! a small kernel loses more to that than it gains from extra cores.
+//! Every primitive therefore takes a [`Cutoff`]: a calibrated minimum
+//! amount of work below which the launch runs inline on the calling
+//! thread, with the **same chunk grid and fold order**, so results are
+//! bit-identical on both sides of the cutoff. The engage/fallback
+//! decision is a pure function of the problem size — never of the
+//! thread count — and is surfaced through two trace counters,
+//! `par.pool_dispatches` and `par.inline_fallbacks`, which therefore
+//! also stay bit-identical across thread counts.
 //!
 //! # Thread-count resolution
 //!
@@ -187,9 +193,9 @@ pub fn thread_override() -> Option<usize> {
 }
 
 /// A size-aware serial cutoff: the minimum amount of work a launch must
-/// carry before it is worth dispatching to the worker pool.
+/// carry before it is worth spawning workers for.
 ///
-/// A launch over `items` items engages the pool when
+/// A launch over `items` items spawns workers when
 /// `items * work_per_item >= min_work`; below that it runs inline on
 /// the calling thread **with the identical chunk grid and fold order**,
 /// so the cutoff can never change result bits — only where the work
@@ -208,7 +214,7 @@ pub struct Cutoff {
 }
 
 impl Cutoff {
-    /// No cutoff: every non-trivial launch engages the pool.
+    /// No cutoff: every non-trivial launch spawns workers.
     pub const NONE: Cutoff = Cutoff {
         min_work: 0,
         work_per_item: 1,
@@ -232,7 +238,7 @@ impl Cutoff {
     }
 
     /// Whether a launch over `items` items carries enough total work to
-    /// engage the pool.
+    /// spawn workers.
     pub fn engages(&self, items: usize) -> bool {
         items.saturating_mul(self.work_per_item) >= self.min_work
     }
@@ -443,9 +449,9 @@ where
 /// time from an atomic next-item counter instead of taking fixed
 /// contiguous runs, then results are reassembled in item order.
 ///
-/// This is the right shape when per-item cost varies wildly (the
-/// router's speculative net plans: one net may search a huge window
-/// while seven are trivial) — a straggler item no longer delays claims
+/// This is the right shape when per-item cost varies wildly (the serve
+/// scheduler's cache misses: one cold job may take tens of milliseconds
+/// while the rest take one) — a straggler item no longer delays claims
 /// of the items after it. The *claim order* is scheduling-dependent,
 /// but each result is keyed by its item index and sorted before
 /// returning, so as long as `f` is a pure function of `(i, &items[i])`

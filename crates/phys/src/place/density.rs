@@ -29,7 +29,7 @@ use crate::Netlist;
 /// of the numeric contract, never derived from the thread count.
 const DENSITY_GRID_GRAIN: usize = 256;
 
-/// Minimum cells before the density sweeps fan out to the ncs-par pool.
+/// Minimum cells before the density sweeps fan out across ncs-par workers.
 const DENSITY_GRID_MIN_ITEMS: usize = 4 * DENSITY_GRID_GRAIN;
 
 /// Virtual-inflation floor in units of bin width: cells narrower than

@@ -733,7 +733,7 @@ const WL_GRAIN: usize = 64;
 const DENSITY_GRAIN: usize = 64;
 
 /// Minimum items (wires or cells) before a gradient evaluation fans out
-/// to the [`ncs_par`] pool: below a few chunks' worth, the per-chunk
+/// across [`ncs_par`] workers: below a few chunks' worth, the per-chunk
 /// `2n` scratch allocations plus dispatch cost more than the math. The
 /// gradient calls sit inside every CG iteration, so small placements
 /// used to pay this dispatch thousands of times per anneal.
@@ -1753,7 +1753,7 @@ mod tests {
 
     #[test]
     fn wa_wirelength_matches_the_allocating_oracle() {
-        // 300 wires clear GRAD_MIN_ITEMS, so t=4 takes the pool.
+        // 300 wires clear GRAD_MIN_ITEMS, so t=4 spawns workers.
         for (seed, wires) in [(1, 40), (2, 300)] {
             let nl = mixed_netlist(seed, 120, wires);
             let n = nl.cells.len();

@@ -7,20 +7,14 @@ use ncs_tech::TechnologyModel;
 use crate::{CellId, Netlist, PhysError, Placement, WireId};
 
 /// Wires speculatively routed per batch before the ordered commit pass.
-/// Fixed — never derived from the thread count — so the batch grid, and
-/// with it every routing decision, is identical at any `NCS_THREADS`.
+/// Every wire of a batch plans against the same congestion snapshot, so
+/// the batch size is part of the routing result.
 const ROUTE_BATCH: usize = 8;
 
 /// Initial bounding-box margin (in bins) of the windowed A* search. The
 /// window doubles on every expansion, so the start value only trades the
 /// cost of the first search against the odds of a second one.
 const WINDOW_MARGIN: usize = 4;
-
-/// Minimum estimated search work (grid cells × MST segments) before a
-/// speculative batch fans out to the [`ncs_par`] pool. A fully-sealed
-/// 8-net batch on a small grid plans in a few microseconds — less than
-/// one pool dispatch — so those batches stay inline.
-const ROUTE_PLAN_MIN_WORK: usize = 64 * 1024;
 
 /// Private usage overlay for speculative routing: extra traversals per
 /// grid edge, keyed by `(owning bin index, horizontal)`, layered on top
@@ -156,16 +150,15 @@ pub struct Routing {
 ///
 /// Per Section 3.5: wires are ordered by the distance from the center of
 /// gravity of all cells to their closest pin (with wire weight as the tie
-/// breaker), routed with capacity-respecting Dijkstra, and any wires that
-/// fail are retried after the virtual capacity is relaxed.
+/// breaker), maze-routed under the current capacity (windowed A* by
+/// default, see [`RouteAlgorithm`]), and any wires that fail are retried
+/// after the virtual capacity is relaxed.
 ///
 /// Routing proceeds in fixed-size batches: each batch is planned
-/// speculatively against the congestion snapshot frozen at batch start
-/// (in parallel when `NCS_THREADS > 1`), then committed sequentially in
-/// batch order with re-validation; plans invalidated by an earlier commit
-/// re-enter the queue at the same capacity. Because the batch grid never
-/// depends on the thread count, the routing is bit-identical at any
-/// `NCS_THREADS` setting.
+/// speculatively against the congestion snapshot frozen at batch start,
+/// then committed sequentially in batch order with re-validation; plans
+/// invalidated by an earlier commit re-enter the queue at the same
+/// capacity.
 ///
 /// Multi-pin wires are decomposed into a Manhattan minimum spanning tree
 /// over their pins and each tree edge is maze-routed independently (the
@@ -251,74 +244,45 @@ pub fn route(
 
     loop {
         let mut failed = Vec::new();
-        // Batched speculative routing with an ordered sequential commit.
-        // Each batch is planned (via the ncs-par work queue, above its
-        // size cutoff) against the grid frozen at batch start, then
-        // committed one wire at a time in batch order with re-validation. Batch membership
-        // depends only on the queue contents — never the thread count —
-        // so the result is bit-identical at any `NCS_THREADS`; conflicts
-        // surface as commit failures and re-enter the queue at the same
-        // capacity.
+        // Batched speculative routing with an ordered sequential commit
+        // (see the doc comment). The batches are part of the result:
+        // planning each wire on the live grid would route differently.
         let mut queue: VecDeque<WireId> = pending.drain(..).collect();
         while !queue.is_empty() {
             let take = queue.len().min(ROUTE_BATCH);
             let batch: Vec<WireId> = queue.drain(..take).collect();
-            let grid_ref = &grid;
-            let bin_ref = &bin_of;
             // Speculative phase. A wire decomposes into a Manhattan MST
             // over its pins; its own segments see each other through a
             // private overlay so a multi-pin net respects the congestion
             // it would itself create. `None` means a segment found no
             // capacity-respecting path even on the frozen grid.
-            //
-            // Per-wire search cost varies wildly (one congested net may
-            // expand its window repeatedly while seven are trivial), so
-            // the batch runs as a work queue: workers claim wires from
-            // an atomic counter, and `par_map_queue` reassembles the
-            // plans in batch order — commit order below is fixed by net
-            // index regardless of claim order. The cutoff keeps cheap
-            // batches (estimated by grid cells × segments, both pure
-            // functions of the problem) on the calling thread.
-            let cells = grid.cols.saturating_mul(grid.rows);
-            let segments: usize = batch
+            let plans: Vec<Option<SegPaths>> = batch
                 .iter()
-                .map(|&w| netlist.wires[w].pins.len().saturating_sub(1))
-                .sum();
-            let per_wire = cells.saturating_mul(segments.div_ceil(batch.len().max(1)));
-            let cutoff = ncs_par::Cutoff::min_work(ROUTE_PLAN_MIN_WORK).work_per_item(per_wire);
-            let plans: Vec<(Option<SegPaths>, u64)> =
-                ncs_par::par_map_queue(&batch, cutoff, |_, &wid| {
+                .map(|&wid| {
                     let wire = &netlist.wires[wid];
                     let mut overlay = EdgeOverlay::new();
                     let mut seg_paths = Vec::new();
-                    let mut expansions = 0u64;
                     for seg in mst_segments(&wire.pins, placement) {
-                        let path = grid_ref.shortest_path(
-                            bin_ref(seg.0),
-                            bin_ref(seg.1),
+                        let path = grid.shortest_path(
+                            bin_of(seg.0),
+                            bin_of(seg.1),
                             capacity,
                             options.congestion_penalty,
                             &overlay,
                             options.algorithm,
-                            &mut expansions,
-                        );
-                        let Some(path) = path else {
-                            return (None, expansions);
-                        };
-                        grid_ref.accumulate(&path, &mut overlay);
+                            &mut window_expansions,
+                        )?;
+                        grid.accumulate(&path, &mut overlay);
                         seg_paths.push(path);
                     }
-                    (Some(seg_paths), expansions)
-                });
+                    Some(seg_paths)
+                })
+                .collect();
             // Commit phase: strictly in batch order. The first plannable
             // wire of every batch commits (its plan was validated against
             // the exact grid it re-validates on), so each batch makes
             // progress and the same-capacity retry queue always drains.
-            // Window-expansion tallies from the (possibly parallel)
-            // planning phase are summed here on the serial control path,
-            // where the trace layer requires counters to be emitted.
-            for (&wid, (plan, expansions)) in batch.iter().zip(plans) {
-                window_expansions += expansions;
+            for (&wid, plan) in batch.iter().zip(plans) {
                 match plan {
                     None => failed.push(wid),
                     Some(seg_paths) => {
@@ -1433,26 +1397,5 @@ mod tests {
         assert!(!grid.try_commit(std::slice::from_ref(&corridor), 2));
         // A rejected commit leaves the grid untouched.
         assert_eq!(grid.h_use.iter().sum::<usize>(), 8);
-    }
-
-    #[test]
-    fn routing_is_bit_identical_across_thread_counts() {
-        // The determinism contract: identical Routing (paths, lengths,
-        // congestion map, relaxation count) at any NCS_THREADS.
-        let (nl, p) = placed_netlist();
-        let opts = RouterOptions {
-            virtual_capacity: 2,
-            ..RouterOptions::default()
-        };
-        let run_at = |t: usize| {
-            ncs_par::set_thread_override(Some(t));
-            let r = route(&nl, &p, &TechnologyModel::nm45(), &opts);
-            ncs_par::set_thread_override(None);
-            r.unwrap()
-        };
-        let base = run_at(1);
-        for t in [2, 4] {
-            assert_eq!(base, run_at(t), "routing diverged at t={t}");
-        }
     }
 }

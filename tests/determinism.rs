@@ -97,10 +97,10 @@ fn placement_coordinates_are_bit_identical_for_fixed_seed() {
 #[test]
 fn flow_is_bit_identical_across_thread_counts() {
     // The ncs-par determinism contract, end to end: the entire flow —
-    // spectral clustering through the parallel eigensolver, k-means,
-    // placement with chunk-ordered gradient folds, batched maze routing —
-    // must produce the same bits whether the kernels run on one worker
-    // (the true serial code path) or four. The thread override is the
+    // whose parallel launches are the eigensolver's QL rotation replay
+    // and the placer's chunk-ordered gradient folds — must produce the
+    // same bits whether the kernels run on one worker (the true serial
+    // code path) or four. The thread override is the
     // programmatic equivalent of setting NCS_THREADS; CI additionally
     // runs the whole suite under NCS_THREADS=1 and NCS_THREADS=4.
     let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
@@ -184,21 +184,19 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
     assert_eq!(
         counters,
         vec![
-            // The par-layer cutoff decisions surface first: the ISC
-            // Laplacian build dispatches (n² entries clear its floor),
-            // and GCP's first k-means assignment falls back inline
-            // (n·k·d below its floor) before the first split is
-            // counted. The QL replay runs in its plain inline loop at
-            // this testbench size (120³ < the 128³ floor) and records
-            // no decision. All are pure functions of the problem size,
-            // never of NCS_THREADS.
-            "par.pool_dispatches",
-            "par.inline_fallbacks",
             "gcp.splits",
             "isc.iterations",
             "isc.clusters_selected",
             "isc.connections_removed",
             "phys.rounds",
+            // Clustering makes no par-layer launch (the QL replay runs in
+            // its plain inline loop at this testbench size, 120³ < the
+            // 128³ floor, and records no decision), so the first cutoff
+            // decisions come from the CG placer's gradient folds. They
+            // are pure functions of the problem size, never of
+            // NCS_THREADS.
+            "par.pool_dispatches",
+            "par.inline_fallbacks",
             "place.cg_iterations",
             "route.commits",
             "route.requeues",
@@ -276,17 +274,17 @@ fn windowed_astar_routes_bit_identical_to_dijkstra_on_the_flow() {
     // The hot-path contract of the windowed A* router, end to end: on the
     // pinned SEED=42 flow design it must produce the exact Routing — every
     // path bin, length, congestion cell — that the full-grid Dijkstra
-    // reference produces, at NCS_THREADS=1 and =4 alike. The window
-    // machinery (escape bounds, sealed-pin fast path, unroutability
-    // probes) is a pure work reducer, never a result changer.
+    // reference produces. The window machinery (escape bounds, sealed-pin
+    // fast path, unroutability probes) is a pure work reducer, never a
+    // result changer. The hash pins the absolute result: each routed
+    // wire's id, length and path bins, then the congestion usage map.
     use ncs_phys::{route, RouteAlgorithm, RouterOptions};
     let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
     let framework = AutoNcs::fast();
     let result = framework.run(tb.network()).expect("flow succeeds");
     let tech = ncs_tech::TechnologyModel::nm45();
-    let route_with = |algorithm: RouteAlgorithm, threads: usize| {
-        ncs_par::set_thread_override(Some(threads));
-        let r = route(
+    let route_with = |algorithm: RouteAlgorithm| {
+        route(
             &result.design.netlist,
             &result.design.placement,
             &tech,
@@ -294,19 +292,30 @@ fn windowed_astar_routes_bit_identical_to_dijkstra_on_the_flow() {
                 algorithm,
                 ..RouterOptions::default()
             },
-        );
-        ncs_par::set_thread_override(None);
-        r.expect("routing succeeds")
+        )
+        .expect("routing succeeds")
     };
-    let reference = route_with(RouteAlgorithm::DijkstraReference, 1);
-    for threads in [1, 4] {
-        let optimized = route_with(RouteAlgorithm::AStarWindow, threads);
-        assert_eq!(
-            optimized, reference,
-            "windowed A* routing diverged from the Dijkstra reference at NCS_THREADS={threads}"
-        );
-    }
+    let reference = route_with(RouteAlgorithm::DijkstraReference);
+    assert_eq!(
+        route_with(RouteAlgorithm::AStarWindow),
+        reference,
+        "windowed A* routing diverged from the Dijkstra reference"
+    );
     assert!(!reference.routed.is_empty(), "the flow routed real wires");
+    let mut key = Vec::new();
+    for r in &reference.routed {
+        key.extend([r.wire as f64, r.length_um]);
+        for &(c, row) in &r.path {
+            key.extend([c as f64, row as f64]);
+        }
+    }
+    key.extend(reference.congestion.usage.iter().map(|&u| u as f64));
+    assert_eq!(
+        fnv1a_f64(&key),
+        0xf65e_f898_977b_b1f3,
+        "routing drifted from the pinned hash: {:#018x}",
+        fnv1a_f64(&key)
+    );
 }
 
 #[test]
@@ -445,14 +454,14 @@ fn testbench_generation_is_deterministic_for_fixed_seed() {
 }
 
 // ---------------------------------------------------------------------
-// Cutoff-boundary bit-identity. Every parallel kernel now carries a
-// size-aware serial cutoff (ncs_par::Cutoff): below it the chunk/fold
-// structure runs inline on the calling thread, above it the worker pool
-// engages. The chunk grid and fold order are functions of the problem
-// size alone — never of the worker count — so results must be
-// bit-identical at any thread override on BOTH sides of each boundary.
-// A cutoff that changed chunking or fold order would surface here as a
-// bit drift between the override-1 and override-4 runs.
+// Kernel bit pins. The QL rotation replay carries a size-aware serial
+// cutoff (ncs_par::Cutoff): below it the strip loop runs inline on the
+// calling thread, above it the strips fan out. Its test runs both sides
+// at overrides 1 and 4 and pins the absolute bits. The CSR matvec, the
+// k-means assignment step and the Laplacian build run serially; their
+// tests (named for the size cutoffs they once straddled) pin the
+// absolute bits at one size each, so a change to a kernel's arithmetic
+// or summation order surfaces as a hash drift.
 // ---------------------------------------------------------------------
 
 /// Deterministic pseudo-random data (same LCG the bench harness uses).
@@ -493,10 +502,18 @@ fn fnv1a_f64(v: &[f64]) -> u64 {
     h
 }
 
+/// Per-neuron cluster index (`-1` for an unclustered neuron), as `f64`s
+/// for [`fnv1a_f64`].
+fn cluster_labels(c: &ncs_cluster::Clustering) -> Vec<f64> {
+    (0..c.neurons())
+        .map(|i| c.cluster_of(i).map_or(-1.0, |l| l as f64))
+        .collect()
+}
+
 #[test]
 fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
     use ncs_linalg::{DenseMatrix, SymmetricEigen};
-    // The QL rotation replay engages the pool at n^3 >= 128^3: n = 120
+    // The QL rotation replay spawns workers at n^3 >= 128^3: n = 120
     // replays in the inline strip loop, n = 136 dispatches its strips.
     // The hashes pin the absolute bits (eigenvalues, then the
     // eigenvector matrix row-major) on both sides.
@@ -538,101 +555,71 @@ fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
 #[test]
 fn csr_matvec_is_bit_identical_across_its_cutoff_boundary() {
     use ncs_linalg::{CsrMatrix, Triplet};
-    // matvec engages at ~4096 nnz: the dense 50x50 (2500 nnz) stays
-    // inline, the dense 80x80 (6400 nnz) dispatches.
-    for n in [50usize, 80] {
-        let vals = lcg_data(0xabcd ^ n as u64, n * n);
-        let triplets: Vec<Triplet> = (0..n * n)
-            .map(|i| Triplet {
-                row: i / n,
-                col: i % n,
-                value: vals[i],
-            })
-            .collect();
-        let m = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
-        let x = lcg_data(0x77 ^ n as u64, n);
-        let run = || m.matvec(&x).expect("matvec succeeds");
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            f64_bits(&serial),
-            f64_bits(&pooled),
-            "csr matvec bits diverged across thread counts at n = {n}"
-        );
-    }
-}
-
-#[test]
-fn dense_matmul_is_bit_identical_across_its_cutoff_boundary() {
-    use ncs_linalg::DenseMatrix;
-    // matmul engages at rows*ocols*inner >= 32768: 20^3 = 8000 stays
-    // inline, 40^3 = 64000 dispatches.
-    for n in [20usize, 40] {
-        let a = DenseMatrix::from_vec(n, n, lcg_data(0xa ^ n as u64, n * n)).expect("matrix a");
-        let b = DenseMatrix::from_vec(n, n, lcg_data(0xb ^ n as u64, n * n)).expect("matrix b");
-        let run = || a.matmul(&b).expect("matmul succeeds").as_slice().to_vec();
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            f64_bits(&serial),
-            f64_bits(&pooled),
-            "matmul bits diverged across thread counts at n = {n}"
-        );
-    }
+    // A dense 80x80 (6400 stored entries), the size that used to fan out
+    // across workers. The hash pins the absolute bits of every row sum.
+    let n = 80usize;
+    let vals = lcg_data(0xabcd ^ n as u64, n * n);
+    let triplets: Vec<Triplet> = (0..n * n)
+        .map(|i| Triplet {
+            row: i / n,
+            col: i % n,
+            value: vals[i],
+        })
+        .collect();
+    let m = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
+    let x = lcg_data(0x77 ^ n as u64, n);
+    let out = m.matvec(&x).expect("matvec succeeds");
+    assert_eq!(
+        fnv1a_f64(&out),
+        0x7c91_95e5_0bc9_ef84,
+        "csr matvec bits drifted from the pinned hash: {:#018x}",
+        fnv1a_f64(&out)
+    );
 }
 
 #[test]
 fn kmeans_is_bit_identical_across_its_cutoff_boundary() {
     use ncs_cluster::kmeans;
     use ncs_linalg::DenseMatrix;
-    // The assignment step engages at n*k*dim >= 16384; with k = 8 and
-    // dim = 4 that is n >= 512: 256 points stay inline, 1024 dispatch.
-    for n in [256usize, 1024] {
-        let dim = 4;
-        let pts = DenseMatrix::from_vec(n, dim, lcg_data(0x4b ^ n as u64, n * dim))
-            .expect("points matrix");
-        let run = || {
-            let r = kmeans(&pts, 8, SEED, 15).expect("kmeans succeeds");
-            (r.assignment, r.centroids.as_slice().to_vec(), r.inertia)
-        };
-        let (sa, sc, si) = with_thread_override(1, run);
-        let (pa, pc, pi) = with_thread_override(4, run);
-        assert_eq!(
-            sa, pa,
-            "kmeans assignment diverged across thread counts at n = {n}"
-        );
-        assert_eq!(
-            f64_bits(&sc),
-            f64_bits(&pc),
-            "kmeans centroid bits diverged across thread counts at n = {n}"
-        );
-        assert_eq!(
-            si.to_bits(),
-            pi.to_bits(),
-            "kmeans inertia bits diverged across thread counts at n = {n}"
-        );
-    }
+    // 1024 points, k = 8, dim = 4: the size whose assignment step used to
+    // fan out across workers. One hash over the assignment, then the
+    // centroid matrix, then the inertia.
+    let (n, dim) = (1024usize, 4);
+    let pts =
+        DenseMatrix::from_vec(n, dim, lcg_data(0x4b ^ n as u64, n * dim)).expect("points matrix");
+    let r = kmeans(&pts, 8, SEED, 15).expect("kmeans succeeds");
+    let mut key: Vec<f64> = r.assignment.iter().map(|&a| a as f64).collect();
+    key.extend_from_slice(r.centroids.as_slice());
+    key.push(r.inertia);
+    assert_eq!(
+        fnv1a_f64(&key),
+        0x1f0c_df10_8b56_1065,
+        "kmeans bits drifted from the pinned hash: {:#018x}",
+        fnv1a_f64(&key)
+    );
 }
 
 #[test]
 fn msc_clustering_is_bit_identical_across_the_laplacian_cutoff() {
-    use ncs_cluster::msc;
+    use ncs_cluster::{msc, spectral_embedding};
     use ncs_net::generators;
-    // The Laplacian assembly engages at n^2 >= 4096: a 50-neuron
-    // network (2500 entries) stays inline, an 80-neuron network (6400)
-    // dispatches. (The embedded eigensolver stays inline at both sizes,
-    // so this isolates the Laplacian boundary.)
-    for n in [50usize, 80] {
-        let net = generators::uniform_random(n, 0.1, SEED).expect("valid generator spec");
-        let k = n / 16;
-        let run = || msc(&net, k, SEED).expect("msc succeeds");
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
-        assert_eq!(
-            serial, pooled,
-            "msc clustering diverged across thread counts at n = {n}"
-        );
-    }
+    // An 80-neuron network, the size whose Laplacian build used to fan out
+    // across workers. One hash over the dense embedding (eigenvalues, then
+    // eigenvectors row-major), then the MSC cluster labels.
+    let n = 80usize;
+    let net = generators::uniform_random(n, 0.1, SEED).expect("valid generator spec");
+    let eig = spectral_embedding(&net).expect("embedding succeeds");
+    let mut key = eig.eigenvalues().to_vec();
+    key.extend_from_slice(eig.eigenvectors().as_slice());
+    key.extend(cluster_labels(
+        &msc(&net, n / 16, SEED).expect("msc succeeds"),
+    ));
+    assert_eq!(
+        fnv1a_f64(&key),
+        0x22dd_dae8_8475_bcf0,
+        "msc bits drifted from the pinned hash at n = {n}: {:#018x}",
+        fnv1a_f64(&key)
+    );
 }
 
 #[test]
@@ -677,36 +664,38 @@ fn sparse_lanczos_mapping_matches_the_dense_reference_on_small_networks() {
 
 #[test]
 fn sparse_clustering_is_bit_identical_across_the_dense_eigen_cutoff() {
-    use ncs_cluster::{msc, DENSE_EIGEN_MAX_N};
+    use ncs_cluster::{msc, spectral_embedding_partial, DENSE_EIGEN_MAX_N};
     use ncs_net::generators;
-    // Both sides of the dense/Lanczos routing threshold: 500 neurons take
-    // the bit-pinned dense reference, 550 take the sparse Lanczos path.
-    // On each side the clustering must be bit-identical between the
-    // inline (1-worker) and pooled (4-worker) runs — the sparse path's
-    // chunked CSR matvecs included.
+    // 550 neurons sit above the dense/Lanczos routing threshold, so MSC
+    // takes the sparse path: Lanczos over CSR matvecs. One hash over the
+    // partial embedding, then the MSC cluster labels.
     const {
-        assert!(500 <= DENSE_EIGEN_MAX_N && DENSE_EIGEN_MAX_N < 550);
+        assert!(DENSE_EIGEN_MAX_N < 550);
     }
-    for n in [500usize, 550] {
-        let (net, _) = generators::block_sparse(n, 50, 0.5, 1, 11).expect("valid generator spec");
-        let k = n.div_ceil(50);
-        let run = |t: usize| with_thread_override(t, || msc(&net, k, SEED).expect("msc succeeds"));
-        assert_eq!(
-            run(1),
-            run(4),
-            "msc clustering diverged across thread counts at n = {n}"
-        );
-    }
+    let n = 550usize;
+    let (net, _) = generators::block_sparse(n, 50, 0.5, 1, 11).expect("valid generator spec");
+    let k = n.div_ceil(50);
+    let mut key = spectral_embedding_partial(&net, k, SEED)
+        .expect("embedding succeeds")
+        .as_slice()
+        .to_vec();
+    key.extend(cluster_labels(&msc(&net, k, SEED).expect("msc succeeds")));
+    assert_eq!(
+        fnv1a_f64(&key),
+        0x530e_902b_d546_a5b3,
+        "sparse msc bits drifted from the pinned hash at n = {n}: {:#018x}",
+        fnv1a_f64(&key)
+    );
 }
 
 #[test]
 fn par_map_queue_preserves_item_order_across_thread_counts() {
-    // The router's speculative planning phase runs on par_map_queue: a
-    // shared atomic claim counter hands chunks to whichever worker is
-    // free, and the results are re-sorted by item index after the join.
-    // Commit order is therefore a function of the item list alone — the
-    // property the router's net-index commit loop depends on. Uneven
-    // per-item work maximizes claim-order scrambling under real pools.
+    // The serve scheduler computes a batch's distinct cache misses on
+    // par_map_queue: a shared atomic claim counter hands items to
+    // whichever worker is free, and the results are re-sorted by item
+    // index after the join. Result order is therefore a function of the
+    // item list alone — the property the scheduler's in-order reply loop
+    // depends on. Uneven per-item work maximizes claim-order scrambling.
     let items: Vec<usize> = (0..97).collect();
     let expensive = |i: usize| -> u64 {
         let mut acc = i as u64;

@@ -1,8 +1,9 @@
 //! Error-path depth: every `ClusterError`, `PhysError` and `FlowError`
-//! variant is triggered through a public entry point, and its Display
-//! text and `source()` chain are pinned. Error messages are part of the
-//! user-facing contract — CLI users and flow callers match on them — so
-//! a rewording shows up here rather than in a downstream report.
+//! variant, and `NetError::TooLarge`, is triggered through a public entry
+//! point, and its Display text and `source()` chain are pinned. Error
+//! messages are part of the user-facing contract — CLI users and flow
+//! callers match on them — so a rewording shows up here rather than in a
+//! downstream report.
 
 use std::error::Error as _;
 
@@ -153,6 +154,30 @@ fn cluster_invalid_iteration_budget_from_gcp() {
         "iteration budget max_outer_iterations must be at least 1"
     );
     assert!(e.source().is_none());
+}
+
+// -------------------------------------------------------------------- net
+
+#[test]
+fn net_too_large_from_the_constructor_and_the_edge_list_parser() {
+    // The n × n bitmap size overflows usize: the checked multiply rejects it.
+    let e = ConnectionMatrix::empty(usize::MAX).unwrap_err();
+    assert!(matches!(e, NetError::TooLarge { neurons } if neurons == usize::MAX));
+    assert_eq!(
+        e.to_string(),
+        "cannot allocate a connection matrix for 18446744073709551615 neurons"
+    );
+    assert!(e.source().is_none());
+
+    // The size fits in usize but no allocator can satisfy it: the
+    // fallible reservation fails instead of aborting the process.
+    let e = ncs_net::io::read_edge_list(&b"neurons 4000000000\n0 1\n"[..]).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "invalid network: cannot allocate a connection matrix for 4000000000 neurons"
+    );
+    let source = e.source().expect("ParseNetError::Net carries a source");
+    assert!(source.to_string().starts_with("cannot allocate"));
 }
 
 // ------------------------------------------------------------------- phys

@@ -213,6 +213,32 @@ fn unknown_tag_and_bad_body_get_structured_errors_and_keep_the_stream() {
 }
 
 #[test]
+fn unallocatable_network_gets_an_error_and_the_server_keeps_answering() {
+    // The header asks for a 4e9-neuron bitmap (~2 EB). Parsing it must
+    // fail as a job error instead of aborting the daemon on allocation.
+    let (mut server, addr) = start_server();
+    let mut c = client(addr);
+    let err = c
+        .map(MapSpec {
+            net: b"neurons 4000000000\n0 1\n".to_vec(),
+            seed: SEED,
+            max_size: 16,
+        })
+        .expect_err("an unallocatable network cannot map");
+    match err {
+        ServeError::Remote { code: got, message } => {
+            assert_eq!(got, code::JOB);
+            assert!(message.contains("4000000000 neurons"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The same server, on the same connection, answers a normal request.
+    let mapping = c.map(map_spec(SEED)).expect("map after the oversized one");
+    assert!(mapping.starts_with(b"NCSM"), "mapping magic");
+    server.shutdown();
+}
+
+#[test]
 fn oversize_length_prefix_gets_an_error_then_close() {
     let (mut server, addr) = start_server();
     let mut c = client(addr);
