@@ -36,8 +36,8 @@ use ncs_linalg::optimize::{minimize, CgOptions};
 use ncs_linalg::{DenseMatrix, SymmetricEigen};
 use ncs_net::{generators, HopfieldNetwork, PatternSet, Testbench, TestbenchSpec};
 use ncs_phys::{
-    detailed_swap, detailed_swap_reference, place, route, Netlist, PlaceAlgorithm, PlacerOptions,
-    RouteAlgorithm, RouterOptions,
+    detailed_swap, detailed_swap_reference, place, route, Netlist, PlacerOptions, RouteAlgorithm,
+    RouterOptions,
 };
 use ncs_tech::TechnologyModel;
 use ncs_xbar::{CrossbarArray, DeviceModel};
@@ -389,19 +389,14 @@ fn route_hot_path() {
 /// Hot-path detailed-placement benches: the incremental bounding-box swap
 /// refinement vs the full-HPWL-recompute reference, on both netlist
 /// flavors (pairwise neuron↔device wires and folded shared nets), starting
-/// from the same analytic placement each iteration — plus the global-engine
-/// contest: the Nesterov + grid-density + Abacus engine vs the λ-doubling
-/// CG reference on the same hybrid mapping, with final HPWL and
-/// post-legalization overlap recorded as quality metrics
-/// (`scripts/check_bench_placer.py` gates speed and quality on this
-/// artifact). Serial medians (thread override pinned to 1); both swap
-/// paths accept exactly the same swaps — see `tests/determinism.rs`.
+/// from the same analytic placement each iteration. Serial medians
+/// (thread override pinned to 1); both swap paths accept exactly the same
+/// swaps — see `tests/determinism.rs`.
 fn place_hot_path() {
     println!("[bench] place");
     ncs_par::set_thread_override(Some(1));
     let tech = TechnologyModel::nm45();
     let mut group = BenchGroup::new("place");
-    engine_contest(&mut group, &tech);
     let net = generators::planted_clusters(256, 8, 0.4, 0.01, SEED)
         .unwrap()
         .0;
@@ -433,78 +428,6 @@ fn place_hot_path() {
     }
     ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
-}
-
-/// The global-placement engine contest feeding `check_bench_placer.py`:
-/// both engines (analytic pass only, no detailed swaps) on the hybrid128
-/// mapping, plus the Nesterov engine alone on a 5k-neuron block-sparse
-/// mapping where the CG reference's O(n²) pairwise density is no longer
-/// reasonable to time. Quality numbers — final weighted HPWL and
-/// post-legalization overlap — are computed outside the timed loop and
-/// recorded as `metrics`; the 5k run also asserts the Abacus legalizer's
-/// structural zero-overlap contract at scale.
-fn engine_contest(group: &mut BenchGroup, tech: &TechnologyModel) {
-    let net = generators::planted_clusters(128, 4, 0.4, 0.01, SEED)
-        .unwrap()
-        .0;
-    let hybrid = Isc::new(IscOptions {
-        seed: SEED,
-        ..IscOptions::default()
-    })
-    .run(&net)
-    .unwrap();
-    let nl = Netlist::from_mapping(&hybrid, tech);
-    let engine = |algorithm| PlacerOptions {
-        algorithm,
-        detailed_swap_passes: 0,
-        ..PlacerOptions::default()
-    };
-    let cg = engine(PlaceAlgorithm::CgReference);
-    let nesterov = engine(PlaceAlgorithm::Nesterov);
-    group.bench("engine/cg_reference/hybrid128", || place(&nl, &cg).unwrap());
-    group.bench("engine/nesterov/hybrid128", || {
-        place(&nl, &nesterov).unwrap()
-    });
-    for (tag, options) in [("cg_reference", &cg), ("nesterov", &nesterov)] {
-        let p = place(&nl, options).unwrap();
-        group.record_metric(
-            &format!("engine/{tag}/hybrid128/hpwl_um"),
-            p.weighted_hpwl(&nl),
-        );
-        group.record_metric(
-            &format!("engine/{tag}/hybrid128/overlap_um2"),
-            p.overlap_area_um2(&nl),
-        );
-    }
-
-    // 5k-neuron block-sparse workload (the scale group's generator with
-    // the same Group-Scissor compression so the mapping stays quick).
-    let (big, _) = generators::block_sparse(5000, 64, 0.5, 2, SEED).unwrap();
-    let mapping = Isc::new(IscOptions {
-        seed: SEED,
-        compression: CompressionOptions {
-            rank_clip: Some(48),
-            group_deletion: Some(GroupDeletionOptions::default()),
-        },
-        ..IscOptions::default()
-    })
-    .run(&big)
-    .unwrap();
-    let big_nl = Netlist::from_mapping(&mapping, tech);
-    group.bench("engine/nesterov/block_sparse_5k", || {
-        place(&big_nl, &nesterov).unwrap()
-    });
-    let p = place(&big_nl, &nesterov).unwrap();
-    let overlap = p.overlap_area_um2(&big_nl);
-    assert!(
-        overlap < 1e-6,
-        "5k block-sparse placement must legalize overlap-free (got {overlap} um^2)"
-    );
-    group.record_metric(
-        "engine/nesterov/block_sparse_5k/hpwl_um",
-        p.weighted_hpwl(&big_nl),
-    );
-    group.record_metric("engine/nesterov/block_sparse_5k/overlap_um2", overlap);
 }
 
 /// Scale benches for the sparse-first pipeline: generate a block-sparse

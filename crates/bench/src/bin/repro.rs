@@ -24,7 +24,6 @@
 //!            64x64-limit rationale, paper ref \[6\])
 //!   dnn      intro-scale workload: a deep layered network with thousands
 //!            of neurons, clustered with the sparse Lanczos backend
-//!   placer   analytical (Algorithm 4) vs simulated-annealing placement
 //!   nets     pairwise-wire vs shared-net (multi-pin) netlist models
 //!   all      everything above
 //! ```
@@ -55,7 +54,6 @@ fn main() {
         "ablation" => ablation(),
         "reliability" => reliability(),
         "dnn" => dnn(),
-        "placer" => placer(),
         "nets" => nets(),
         "all" => {
             fig3();
@@ -70,7 +68,6 @@ fn main() {
             ablation();
             reliability();
             dnn();
-            placer();
             nets();
         }
         other => {
@@ -496,57 +493,6 @@ fn nets() {
         ));
     }
     report_artifact(&write_text("nets_ablation.csv", &csv));
-}
-
-/// Placer ablation: the paper's analytical placement (Algorithm 4)
-/// against the classic simulated-annealing baseline on the same netlist,
-/// with the same legalization epilogue.
-fn placer() {
-    use ncs_phys::{place, place_annealed, AnnealOptions, Netlist, PlacerOptions};
-    use ncs_tech::TechnologyModel;
-    println!("[placer] analytical vs simulated annealing on testbench 1");
-    let tb = testbench(1);
-    let mapping = Isc::new(IscOptions {
-        seed: SEED,
-        ..IscOptions::default()
-    })
-    .run(tb.network())
-    .expect("ISC mapping");
-    let tech = TechnologyModel::nm45();
-    let nl = Netlist::from_mapping(&mapping, &tech);
-    let mut csv = String::from("placer,weighted_hpwl_um,area_um2,overlap_um2,seconds\n");
-    let t0 = Instant::now();
-    let analytical = place(&nl, &PlacerOptions::default()).expect("analytical placement");
-    let t_analytical = t0.elapsed();
-    let t1 = Instant::now();
-    let annealed = place_annealed(
-        &nl,
-        &AnnealOptions {
-            seed: SEED,
-            ..AnnealOptions::default()
-        },
-    )
-    .expect("annealed placement");
-    let t_annealed = t1.elapsed();
-    for (name, p, secs) in [
-        ("analytical", &analytical, t_analytical.as_secs_f64()),
-        ("annealing", &annealed, t_annealed.as_secs_f64()),
-    ] {
-        println!(
-            "  {name:<11} hpwl {:>12.1} um, area {:>10.1} um2, {:.2}s",
-            p.weighted_hpwl(&nl),
-            p.area_um2(&nl),
-            secs
-        );
-        csv.push_str(&format!(
-            "{name},{:.1},{:.1},{:.2},{:.3}\n",
-            p.weighted_hpwl(&nl),
-            p.area_um2(&nl),
-            p.final_overlap_um2,
-            secs
-        ));
-    }
-    report_artifact(&write_text("placer_ablation.csv", &csv));
 }
 
 /// Intro-scale workload: the paper motivates AutoNCS with deep networks

@@ -88,11 +88,11 @@ pub struct StageTime {
 
 /// A named scalar quality metric recorded alongside the timings — final
 /// HPWL, post-legalization overlap, iteration counts. Timings answer "how
-/// fast", metrics answer "did the fast path give up any quality"; the
-/// placement-engine CI gate reads both from the same artifact.
+/// fast", metrics answer "did the fast path give up any quality"; a
+/// gate script can read both from the same artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Metric name, unique within its group (e.g. `"engine/nesterov/hpwl_um"`).
+    /// Metric name, unique within its group (e.g. `"placement/hpwl_um"`).
     pub name: String,
     /// Scalar value (units are part of the name by convention).
     pub value: f64,
@@ -534,13 +534,13 @@ mod tests {
         let mut group = BenchGroup::new("metrics_selftest").samples(1);
         group.bench("noop", || 1);
         assert!(!group.to_json().contains("\"metrics\""));
-        group.record_metric("engine/nesterov/hpwl_um", 1234.5);
-        group.record_metric("engine/nesterov/overlap_um2", 0.0);
+        group.record_metric("placement/hpwl_um", 1234.5);
+        group.record_metric("placement/overlap_um2", 0.0);
         assert_eq!(group.metrics().len(), 2);
         let json = group.to_json();
         assert!(json.contains("\"metrics\": ["), "{json}");
-        assert!(json.contains("\"name\": \"engine/nesterov/hpwl_um\", \"value\": 1234.5"));
-        assert!(json.contains("\"name\": \"engine/nesterov/overlap_um2\", \"value\": 0"));
+        assert!(json.contains("\"name\": \"placement/hpwl_um\", \"value\": 1234.5"));
+        assert!(json.contains("\"name\": \"placement/overlap_um2\", \"value\": 0"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

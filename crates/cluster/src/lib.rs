@@ -55,7 +55,6 @@ mod isc;
 mod kmeans;
 mod mapping;
 mod msc;
-mod single_shot;
 pub mod stats;
 mod traversing;
 
@@ -74,5 +73,4 @@ pub use msc::{
     msc, spectral_embedding, spectral_embedding_partial, spectral_embedding_partial_warm,
     DENSE_EIGEN_MAX_N,
 };
-pub use single_shot::single_shot;
 pub use traversing::traversing;

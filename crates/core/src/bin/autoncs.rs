@@ -4,16 +4,20 @@
 //! autoncs gen --kind <random|clusters|ldpc> --neurons N [--density D]
 //!             [--clusters K] [--seed S] --out net.txt
 //! autoncs map <net.txt> [--seed S] [--max-size M] [--trace trace.csv]
-//! autoncs compare <net.txt> [--seed S]
-//! autoncs implement <net.txt> [--seed S] [--placer <reference|nesterov>]
+//! autoncs compare <net.txt> [--seed S] [--max-size M]
+//! autoncs implement <net.txt> [--seed S] [--max-size M]
 //!                   [--out-prefix results/design]
+//! autoncs serve [--addr HOST:PORT] [--batch N] [--cache-capacity N]
+//!               [--max-conns N] [--addr-file PATH]
 //! ```
 //!
 //! Networks are plain-text edge lists (see [`ncs_net::io`]). `gen` creates
 //! synthetic workloads; `map` runs ISC clustering and prints mapping
 //! statistics; `compare` runs the full AutoNCS and FullCro flows and
 //! prints a Table 1-style row; `implement` additionally writes placement
-//! and congestion plots.
+//! and congestion plots; `serve` runs the batched flow service. Each
+//! command accepts exactly the flags listed for it; any other `--key` is
+//! an error.
 
 use std::fs::File;
 use std::process::ExitCode;
@@ -21,7 +25,6 @@ use std::process::ExitCode;
 use autoncs::{plot, AutoNcs, CostTable};
 use ncs_cluster::{CrossbarSizeSet, IscOptions};
 use ncs_net::{generators, io as netio, ConnectionMatrix};
-use ncs_phys::{ImplementOptions, PlaceAlgorithm, PlacerOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,9 +63,8 @@ commands:
       [--clusters K] [--seed S] --out net.txt     generate a workload
   map <net.txt> [--seed S] [--max-size M]
       [--trace trace.csv]                         cluster to crossbars
-  compare <net.txt> [--seed S]                    AutoNCS vs FullCro costs
-  implement <net.txt> [--seed S]
-      [--placer <reference|nesterov>]
+  compare <net.txt> [--seed S] [--max-size M]     AutoNCS vs FullCro costs
+  implement <net.txt> [--seed S] [--max-size M]
       [--out-prefix PREFIX]                       full flow + plot artifacts
   serve [--addr HOST:PORT] [--batch N]
       [--cache-capacity N] [--max-conns N]
@@ -115,7 +117,29 @@ impl<'a> Flags<'a> {
         self.get(key)
             .ok_or_else(|| format!("missing required flag --{key}"))
     }
+
+    /// Rejects any `--key` outside `accepted`, so a misspelt flag fails
+    /// instead of silently leaving its default in place.
+    fn only(self, accepted: &[&str]) -> Result<Self, String> {
+        match self.pairs.iter().find(|(k, _)| !accepted.contains(k)) {
+            None => Ok(self),
+            Some((key, _)) => {
+                let list: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                Err(format!(
+                    "unknown flag --{key} (accepted: {})",
+                    list.join(" ")
+                ))
+            }
+        }
+    }
 }
+
+/// The flags each command reads, and so accepts.
+const GEN_FLAGS: &[&str] = &["kind", "neurons", "density", "clusters", "seed", "out"];
+const MAP_FLAGS: &[&str] = &["seed", "max-size", "trace"];
+const COMPARE_FLAGS: &[&str] = &["seed", "max-size"];
+const IMPLEMENT_FLAGS: &[&str] = &["seed", "max-size", "out-prefix"];
+const SERVE_FLAGS: &[&str] = &["addr", "batch", "cache-capacity", "max-conns", "addr-file"];
 
 /// Drains this thread's trace stream into a per-stage summary table plus a
 /// `results/TRACE_<flow>.json` artifact. A no-op unless `NCS_TRACE` is on.
@@ -137,40 +161,22 @@ fn load_net(path: &str) -> Result<ConnectionMatrix, String> {
     netio::read_edge_list(file).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn placer_algorithm(flags: &Flags) -> Result<PlaceAlgorithm, String> {
-    match flags.get("placer").unwrap_or("reference") {
-        "reference" | "cg" => Ok(PlaceAlgorithm::CgReference),
-        "nesterov" => Ok(PlaceAlgorithm::Nesterov),
-        other => Err(format!(
-            "unknown --placer {other:?} (expected reference|nesterov)"
-        )),
-    }
-}
-
 fn framework(flags: &Flags) -> Result<AutoNcs, String> {
     let seed: u64 = flags.get_parsed("seed", 42)?;
     let max_size: usize = flags.get_parsed("max-size", 64)?;
     let sizes =
         CrossbarSizeSet::new((16..=max_size.max(16)).step_by(4)).map_err(|e| e.to_string())?;
-    let implement = ImplementOptions {
-        placer: PlacerOptions {
-            algorithm: placer_algorithm(flags)?,
-            ..PlacerOptions::default()
-        },
-        ..ImplementOptions::default()
-    };
     Ok(AutoNcs::builder()
         .isc_options(IscOptions {
             sizes,
             seed,
             ..IscOptions::default()
         })
-        .implement_options(implement)
         .build())
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.only(GEN_FLAGS)?;
     let kind = flags.require("kind")?.to_string();
     let neurons: usize = flags.get_parsed("neurons", 128)?;
     let seed: u64 = flags.get_parsed("seed", 42)?;
@@ -200,7 +206,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_map(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.only(MAP_FLAGS)?;
     let path = flags
         .positional
         .first()
@@ -247,7 +253,7 @@ fn cmd_map(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.only(COMPARE_FLAGS)?;
     let path = flags
         .positional
         .first()
@@ -264,7 +270,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_implement(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.only(IMPLEMENT_FLAGS)?;
     let path = flags
         .positional
         .first()
@@ -320,7 +326,7 @@ fn serve_bind(flags: &Flags) -> Result<autoncs::serve::Server, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.only(SERVE_FLAGS)?;
     let _server = serve_bind(&flags)?;
     // The daemon runs until the process is killed; the Server's Drop
     // performs an orderly shutdown if this loop is ever left.
@@ -433,8 +439,8 @@ mod tests {
     }
 
     #[test]
-    fn implement_accepts_the_nesterov_placer() {
-        let dir = std::env::temp_dir().join("autoncs_cli_placer_test");
+    fn unknown_flags_are_errors_that_name_the_flag() {
+        let dir = std::env::temp_dir().join("autoncs_cli_unknown_flag_test");
         std::fs::create_dir_all(&dir).unwrap();
         let net_path = dir.join("net.txt");
         let net_str = net_path.to_str().unwrap().to_string();
@@ -448,38 +454,41 @@ mod tests {
             &net_str,
         ]))
         .unwrap();
-        let prefix = dir.join("design");
-        let prefix_str = prefix.to_str().unwrap().to_string();
-        run(&strings(&[
-            "implement",
-            &net_str,
-            "--max-size",
-            "16",
-            "--placer",
-            "nesterov",
-            "--out-prefix",
-            &prefix_str,
-        ]))
-        .unwrap();
-        let placement = std::fs::read(format!("{prefix_str}_placement.ppm")).unwrap();
-        assert!(placement.starts_with(b"P6\n"));
+        for (args, flag) in [
+            (
+                vec!["implement", &net_str, "--placer", "nesterov"],
+                "--placer",
+            ),
+            (vec!["map", &net_str, "--max_size", "16"], "--max_size"),
+            (
+                vec!["map", &net_str, "--max-size", "16", "--sed", "7"],
+                "--sed",
+            ),
+            (
+                vec!["compare", &net_str, "--out-prefix", "x"],
+                "--out-prefix",
+            ),
+            (vec!["serve", "--seed", "7"], "--seed"),
+        ] {
+            let err = run(&strings(&args)).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
+            assert!(err.contains("accepted: --"), "{err}");
+        }
     }
 
     #[test]
-    fn placer_flag_selects_the_algorithm() {
-        let args = strings(&["net.txt", "--placer", "nesterov"]);
-        let flags = Flags::parse(&args).unwrap();
-        assert_eq!(placer_algorithm(&flags).unwrap(), PlaceAlgorithm::Nesterov);
-        let args = strings(&["net.txt"]);
-        let flags = Flags::parse(&args).unwrap();
-        assert_eq!(
-            placer_algorithm(&flags).unwrap(),
-            PlaceAlgorithm::CgReference
-        );
-        let args = strings(&["net.txt", "--placer", "simulated-annealing"]);
-        let flags = Flags::parse(&args).unwrap();
-        let err = placer_algorithm(&flags).unwrap_err();
-        assert!(err.contains("simulated-annealing"), "{err}");
+    fn help_lists_every_accepted_flag() {
+        for flags in [
+            GEN_FLAGS,
+            MAP_FLAGS,
+            COMPARE_FLAGS,
+            IMPLEMENT_FLAGS,
+            SERVE_FLAGS,
+        ] {
+            for flag in flags {
+                assert!(HELP.contains(&format!("--{flag} ")), "--{flag}");
+            }
+        }
     }
 
     #[test]

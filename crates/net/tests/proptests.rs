@@ -4,6 +4,7 @@
 //! `ncs_rng`-generated inputs so the workspace builds offline with no
 //! registry dependencies. The invariants are unchanged.
 
+use ncs_net::io::{read_edge_list, write_edge_list};
 use ncs_net::{generators, ConnectionMatrix, HopfieldNetwork, PatternSet};
 use ncs_rng::Rng;
 
@@ -149,4 +150,75 @@ fn uniform_random_within_density_bounds() {
             net.connections()
         );
     }
+}
+
+/// Appends one random line of edge-list text, then a line end (LF, CRLF
+/// or none). Kinds 0–3 are valid after a `neurons n` header: an edge in
+/// range, a comment, whitespace. The rest are not, or not always: a
+/// header (including counts no bitmap can hold), an edge that may be out
+/// of range, trailing tokens, a byte-order mark, raw bytes.
+fn push_fragment(rng: &mut Rng, out: &mut Vec<u8>, n: u64, kind: usize) {
+    let index = |rng: &mut Rng| rng.gen_range(0u64..24);
+    match kind {
+        0 | 1 => out.extend(format!("{} {}", rng.gen_range(0..n), rng.gen_range(0..n)).bytes()),
+        2 => out.extend(b"# comment"),
+        3 => out.extend(b" \t "),
+        4 => {
+            let n = [0, 1, 4, 17, 4_000_000_000, u64::MAX][rng.gen_range(0usize..6)];
+            out.extend(format!("neurons {n}").bytes());
+        }
+        5 => out.extend(format!("{} {}", index(rng), index(rng)).bytes()),
+        6 => out.extend(format!("{} {} {}", index(rng), index(rng), index(rng)).bytes()),
+        7 => out.extend("\u{feff}neurons 3".bytes()),
+        _ => {
+            for _ in 0..rng.gen_range(0usize..16) {
+                out.push((rng.next_u64() & 0xff) as u8);
+            }
+        }
+    }
+    match rng.gen_range(0usize..8) {
+        0 => {}
+        1..=3 => out.extend(b"\r\n"),
+        _ => out.push(b'\n'),
+    }
+}
+
+#[test]
+fn edge_list_parser_fails_only_with_typed_errors() {
+    // Every input either parses — and then survives a write/read round
+    // trip — or fails with a `ParseNetError` that renders; none panics
+    // or aborts on an allocation. Half the inputs are valid edge lists
+    // with at most one bad line; the rest are any mix of fragments.
+    let mut rng = Rng::seed_from_u64(0xA8);
+    let mut parsed = 0;
+    for case in 0..3000 {
+        let n = rng.gen_range(1u64..24);
+        let clean = case % 2 == 0;
+        let mut text = Vec::new();
+        if clean {
+            text.extend(format!("neurons {n}\n").bytes());
+        }
+        let lines = rng.gen_range(0usize..12);
+        let bad_line = rng.gen_range(0..2 * lines.max(1));
+        for line in 0..lines {
+            let kind = if !clean || line == bad_line {
+                rng.gen_range(0usize..10)
+            } else {
+                rng.gen_range(0usize..4)
+            };
+            push_fragment(&mut rng, &mut text, n, kind);
+        }
+        match read_edge_list(&text[..]) {
+            Ok(net) => {
+                parsed += 1;
+                let mut written = Vec::new();
+                write_edge_list(&net, &mut written).unwrap();
+                let back = read_edge_list(&written[..]).unwrap();
+                assert_eq!(back, net, "case {case}: round trip changed the network");
+            }
+            Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
+        }
+    }
+    // Enough inputs parse that the round trip is exercised.
+    assert!(parsed > 500, "only {parsed} inputs parsed");
 }

@@ -419,35 +419,11 @@ where
     acc
 }
 
-/// Maps every item of `items` through `f`, returning results in item
-/// order (slot `i` always holds `f(i, &items[i])`).
-///
-/// `grain` controls load balance only: each worker takes a contiguous
-/// run of chunks. Results never depend on the thread count (or on
-/// which side of the `cutoff` the launch lands) as long as `f` is a
-/// pure function of its arguments.
-pub fn par_map<T, R, F>(items: &[T], grain: usize, cutoff: Cutoff, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_reduce(
-        items.len(),
-        grain,
-        cutoff,
-        |r| r.map(|i| f(i, &items[i])).collect::<Vec<R>>(),
-        Vec::with_capacity(items.len()),
-        |mut acc, mut part| {
-            acc.append(&mut part);
-            acc
-        },
-    )
-}
-
-/// Work-queue variant of [`par_map`]: workers claim items one at a
-/// time from an atomic next-item counter instead of taking fixed
-/// contiguous runs, then results are reassembled in item order.
+/// Maps every item of `items` through `f` on a work queue, returning
+/// results in item order (slot `i` always holds `f(i, &items[i])`):
+/// workers claim items one at a time from an atomic next-item counter
+/// instead of taking fixed contiguous runs, then results are
+/// reassembled in item order.
 ///
 /// This is the right shape when per-item cost varies wildly (the serve
 /// scheduler's cache misses: one cold job may take tens of milliseconds
@@ -662,19 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_item_order() {
-        let items: Vec<usize> = (0..57).collect();
-        for t in [1, 4] {
-            let out = with_override(t, || par_map(&items, 5, Cutoff::NONE, |i, &x| (i, x * x)));
-            assert_eq!(out.len(), items.len());
-            for (i, (slot, sq)) in out.iter().enumerate() {
-                assert_eq!(*slot, i);
-                assert_eq!(*sq, i * i);
-            }
-        }
-    }
-
-    #[test]
     fn par_map_queue_preserves_item_order() {
         // Claim order is scheduling-dependent; the output must not be.
         let items: Vec<usize> = (0..201).collect();
@@ -801,8 +764,6 @@ mod tests {
             par_map_reduce(0, 4, Cutoff::NONE, |_| 1.0f64, 7.0f64, |a, b| a + b).to_bits(),
             7.0f64.to_bits()
         );
-        let none: [u8; 0] = [];
-        assert!(par_map(&none, 4, Cutoff::NONE, |_, &x| x).is_empty());
         let empty_q: [u8; 0] = [];
         assert!(par_map_queue(&empty_q, Cutoff::NONE, |_, &x| x).is_empty());
     }

@@ -14,9 +14,10 @@
 //!
 //! * [`Netlist`] — cells and weighted wires derived from a
 //!   `HybridMapping` (ncs-cluster) and a `TechnologyModel` (ncs-tech),
-//! * [`place`] — the analytical placer (WA wirelength + finite-support
-//!   smooth density, λ-doubling outer loop, CG inner solver, greedy
-//!   overlap legalization),
+//! * [`place`] — the placer of Algorithm 4 (WA wirelength +
+//!   finite-support pairwise density, λ-doubling outer loop, CG inner
+//!   solver, push-apart and gap-fill legalization, optional detailed
+//!   swap),
 //! * [`route`] — the grid-graph maze router with virtual capacity and
 //!   congestion-map output,
 //! * [`PhysicalCost`] / [`CostWeights`] — the Eq. 3 evaluator,
@@ -44,21 +45,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod anneal;
 mod cost;
 mod error;
 mod netlist;
 mod place;
 mod route;
 
-pub use anneal::{place_annealed, AnnealOptions};
 pub use cost::{CostWeights, PhysicalCost};
 pub use error::PhysError;
 pub use netlist::{Cell, CellId, Netlist, Wire, WireId};
-pub use place::{
-    detailed_swap, detailed_swap_reference, place, NesterovOptions, PlaceAlgorithm, Placement,
-    PlacerOptions,
-};
+pub use place::{detailed_swap, detailed_swap_reference, place, Placement, PlacerOptions};
 pub use route::{route, CongestionMap, RouteAlgorithm, RouterOptions, Routing};
 
 use ncs_cluster::HybridMapping;
@@ -73,14 +69,6 @@ pub struct ImplementOptions {
     pub router: RouterOptions,
     /// Cost weights (α, β, δ); the paper sets all three to 1.
     pub weights: CostWeights,
-    /// Routability-driven re-placement rounds: after routing, if the peak
-    /// bin congestion exceeds [`ImplementOptions::congestion_target`], the
-    /// placer's virtual-width factor ω is inflated by 15 % and the design
-    /// is placed and routed again (keeping the cheapest attempt). 0
-    /// disables the loop (the paper's single-pass flow).
-    pub routability_iterations: usize,
-    /// Peak bin congestion considered acceptable by the routability loop.
-    pub congestion_target: usize,
 }
 
 impl ImplementOptions {
@@ -88,10 +76,7 @@ impl ImplementOptions {
     pub fn fast() -> Self {
         ImplementOptions {
             placer: PlacerOptions::fast(),
-            router: RouterOptions::default(),
-            weights: CostWeights::default(),
-            routability_iterations: 0,
-            congestion_target: usize::MAX,
+            ..ImplementOptions::default()
         }
     }
 }
@@ -111,8 +96,7 @@ pub struct PhysicalDesign {
 
 /// Runs the full physical-design flow of Section 3.5 on a hybrid mapping:
 /// netlist generation, analytical placement, maze routing, and cost
-/// evaluation — with optional routability-driven re-placement (see
-/// [`ImplementOptions::routability_iterations`]).
+/// evaluation.
 ///
 /// # Errors
 ///
@@ -124,40 +108,19 @@ pub fn implement_mapping(
     options: &ImplementOptions,
 ) -> Result<PhysicalDesign, PhysError> {
     let netlist = Netlist::from_mapping(mapping, tech);
-    let mut placer = options.placer.clone();
-    let mut best: Option<PhysicalDesign> = None;
-    for round in 0..=options.routability_iterations {
-        ncs_trace::add("phys.rounds", 1);
-        let placement = {
-            let _span = ncs_trace::span("phys.place");
-            place(&netlist, &placer)?
-        };
-        let routing = {
-            let _span = ncs_trace::span("phys.route");
-            route(&netlist, &placement, tech, &options.router)?
-        };
-        let cost = PhysicalCost::evaluate(&netlist, &placement, &routing, tech, options.weights);
-        let congested = routing.congestion.max_usage() > options.congestion_target;
-        let candidate = PhysicalDesign {
-            netlist: netlist.clone(),
-            placement,
-            routing,
-            cost,
-        };
-        let improved = best
-            .as_ref()
-            .is_none_or(|b| candidate.cost.total() < b.cost.total());
-        if improved {
-            best = Some(candidate);
-        }
-        if !congested || round == options.routability_iterations {
-            break;
-        }
-        // Reserve more routing space and try again.
-        placer.omega *= 1.15;
-    }
-    // `0..=routability_iterations` is never empty, so one round always
-    // ran and recorded a design (or returned its error above).
-    // ncs-lint: allow(no-panic-paths)
-    Ok(best.expect("at least one round always runs"))
+    let placement = {
+        let _span = ncs_trace::span("phys.place");
+        place(&netlist, &options.placer)?
+    };
+    let routing = {
+        let _span = ncs_trace::span("phys.route");
+        route(&netlist, &placement, tech, &options.router)?
+    };
+    let cost = PhysicalCost::evaluate(&netlist, &placement, &routing, tech, options.weights);
+    Ok(PhysicalDesign {
+        netlist,
+        placement,
+        routing,
+        cost,
+    })
 }

@@ -2,40 +2,11 @@ use ncs_linalg::optimize::{minimize, CgOptions};
 
 use crate::{CellId, Netlist, PhysError};
 
-mod density;
-mod legalize;
-mod nesterov;
-
-pub use nesterov::NesterovOptions;
-
-/// Which global-placement engine to run. Mirrors
-/// [`crate::RouteAlgorithm`]: the reference algorithm is bit-pinned by
-/// the determinism suite and stays the default; the fast engine is
-/// opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlaceAlgorithm {
-    /// The paper's Algorithm 4: λ-doubling outer loop, conjugate-gradient
-    /// inner solves, O(n²)-pair sigmoid density, push-apart legalization.
-    /// Bit-pinned by the determinism suite.
-    #[default]
-    CgReference,
-    /// ePlace-class engine: grid-binned density field (O(n + m²) per
-    /// evaluation), a single Nesterov loop with inverse-Lipschitz steps
-    /// and a Jacobi preconditioner, and a deterministic macro-Tetris +
-    /// Abacus-row legalizer. Same wirelength model, same netlists,
-    /// bit-identical across `NCS_THREADS` — but not bit-compatible with
-    /// the reference.
-    Nesterov,
-}
-
-/// Options for the analytical placer (Algorithm 4).
+/// Options for the analytical placer of Algorithm 4: the WA wirelength
+/// and pairwise density models, the λ-doubling CG schedule, the
+/// push-apart legalizer and the optional detailed swap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerOptions {
-    /// Global-placement engine to use.
-    pub algorithm: PlaceAlgorithm,
-    /// Options for the [`PlaceAlgorithm::Nesterov`] engine (ignored by
-    /// the reference).
-    pub nesterov: NesterovOptions,
     /// Smoothness `γ` of the weighted-average wirelength model, µm.
     /// Smaller values track HPWL more closely but are harder to optimize.
     pub gamma: f64,
@@ -65,8 +36,6 @@ pub struct PlacerOptions {
 impl Default for PlacerOptions {
     fn default() -> Self {
         PlacerOptions {
-            algorithm: PlaceAlgorithm::default(),
-            nesterov: NesterovOptions::default(),
             gamma: 2.0,
             omega: 1.2,
             lambda_multiplier: 2.0,
@@ -185,7 +154,8 @@ impl Placement {
 ///
 /// Returns [`PhysError::EmptyNetlist`] for a cell-less netlist,
 /// [`PhysError::DegenerateWire`] if a wire has fewer than two pins, and
-/// [`PhysError::InvalidOption`] for out-of-range options.
+/// [`PhysError::InvalidOption`] unless `gamma` is finite and > 0, `omega`
+/// finite and ≥ 1, and `lambda_multiplier` finite and > 1.
 pub fn place(netlist: &Netlist, options: &PlacerOptions) -> Result<Placement, PhysError> {
     let n = netlist.cells.len();
     if n == 0 {
@@ -196,53 +166,24 @@ pub fn place(netlist: &Netlist, options: &PlacerOptions) -> Result<Placement, Ph
             return Err(PhysError::DegenerateWire { id: w.id });
         }
     }
-    if options.gamma <= 0.0 {
-        return Err(PhysError::InvalidOption {
-            what: "gamma",
-            value: options.gamma.to_string(),
-        });
-    }
-    if options.omega < 1.0 {
-        return Err(PhysError::InvalidOption {
-            what: "omega",
-            value: options.omega.to_string(),
-        });
-    }
-    if options.lambda_multiplier <= 1.0 {
-        return Err(PhysError::InvalidOption {
-            what: "lambda_multiplier",
-            value: options.lambda_multiplier.to_string(),
-        });
-    }
-    if options.nesterov.max_iterations == 0 {
-        return Err(PhysError::InvalidOption {
-            what: "nesterov.max_iterations",
-            value: options.nesterov.max_iterations.to_string(),
-        });
-    }
-    if options.nesterov.lambda_growth <= 1.0 {
-        return Err(PhysError::InvalidOption {
-            what: "nesterov.lambda_growth",
-            value: options.nesterov.lambda_growth.to_string(),
-        });
-    }
-    if !(options.nesterov.target_density > 0.0 && options.nesterov.target_density <= 1.0) {
-        return Err(PhysError::InvalidOption {
-            what: "nesterov.target_density",
-            value: options.nesterov.target_density.to_string(),
-        });
-    }
-    if options.nesterov.target_overflow.is_nan() || options.nesterov.target_overflow < 0.0 {
-        return Err(PhysError::InvalidOption {
-            what: "nesterov.target_overflow",
-            value: options.nesterov.target_overflow.to_string(),
-        });
+    for (what, value, in_range) in [
+        ("gamma", options.gamma, options.gamma > 0.0),
+        ("omega", options.omega, options.omega >= 1.0),
+        (
+            "lambda_multiplier",
+            options.lambda_multiplier,
+            options.lambda_multiplier > 1.0,
+        ),
+    ] {
+        if !(value.is_finite() && in_range) {
+            return Err(PhysError::InvalidOption {
+                what,
+                value: value.to_string(),
+            });
+        }
     }
 
-    let mut placement = match options.algorithm {
-        PlaceAlgorithm::CgReference => place_cg_reference(netlist, options),
-        PlaceAlgorithm::Nesterov => nesterov::place_nesterov(netlist, options),
-    };
+    let mut placement = place_cg(netlist, options);
     if options.detailed_swap_passes > 0 {
         detailed_swap(netlist, &mut placement, options.detailed_swap_passes);
     }
@@ -253,10 +194,12 @@ pub fn place(netlist: &Netlist, options: &PlacerOptions) -> Result<Placement, Ph
     Ok(placement)
 }
 
-/// The paper's Algorithm 4 (the bit-pinned reference engine): λ-doubling
+/// The global placement and legalization of Algorithm 4: λ-doubling
 /// outer loop over conjugate-gradient inner solves of `WL + λ·D` with
-/// the pairwise sigmoid density, then push-apart legalization.
-fn place_cg_reference(netlist: &Netlist, options: &PlacerOptions) -> Placement {
+/// the pairwise density, then mixed-size legalization (crossbar macros
+/// pushed apart and compacted, small cells gap-filled — the topology of
+/// the paper's Figure 10(c)) and a shift to the positive quadrant.
+fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
     let n = netlist.cells.len();
     // Line 1 of Algorithm 4: initialize cells at regular grid locations.
     let (mut xs, mut ys) = initial_grid(netlist, options.omega);
@@ -336,7 +279,15 @@ fn place_cg_reference(netlist: &Netlist, options: &PlacerOptions) -> Placement {
     ncs_trace::record("place.outer_iterations", outer as u64);
 
     // Line 7: process the remaining overlap, then normalize.
-    finalize_placement(netlist, xs, ys, options.legalizer_passes, outer)
+    legalize_mixed_size(netlist, &mut xs, &mut ys, options.legalizer_passes);
+    shift_to_positive_quadrant(netlist, &mut xs, &mut ys);
+    let final_overlap = overlap_area(netlist, &xs, &ys);
+    Placement {
+        x: xs,
+        y: ys,
+        outer_iterations: outer,
+        final_overlap_um2: final_overlap,
+    }
 }
 
 /// λ0 = Σ|∂WL| / Σ|∂D|, or `None` when there is no density gradient to
@@ -662,30 +613,7 @@ pub fn detailed_swap_reference(netlist: &Netlist, placement: &mut Placement, pas
     }
 }
 
-/// Shared epilogue of both placers (analytical and annealing): mixed-size
-/// legalization (crossbar macros pushed apart and compacted, small cells
-/// gap-filled — the topology of the paper's Figure 10(c)), then a shift to
-/// the positive quadrant.
-pub(crate) fn finalize_placement(
-    netlist: &Netlist,
-    mut xs: Vec<f64>,
-    mut ys: Vec<f64>,
-    legalizer_passes: usize,
-    outer_iterations: usize,
-) -> Placement {
-    legalize_mixed_size(netlist, &mut xs, &mut ys, legalizer_passes);
-    shift_to_positive_quadrant(netlist, &mut xs, &mut ys);
-    let final_overlap = overlap_area(netlist, &xs, &ys);
-    Placement {
-        x: xs,
-        y: ys,
-        outer_iterations,
-        final_overlap_um2: final_overlap,
-    }
-}
-
-/// Normalizes a placement to the positive quadrant for readability
-/// (shared by both engines' epilogues).
+/// Normalizes a placement to the positive quadrant for readability.
 fn shift_to_positive_quadrant(netlist: &Netlist, xs: &mut [f64], ys: &mut [f64]) {
     let min_x = netlist
         .cells
@@ -736,7 +664,7 @@ const DENSITY_GRAIN: usize = 64;
 /// across [`ncs_par`] workers: below a few chunks' worth, the per-chunk
 /// `2n` scratch allocations plus dispatch cost more than the math. The
 /// gradient calls sit inside every CG iteration, so small placements
-/// used to pay this dispatch thousands of times per anneal.
+/// used to pay this dispatch thousands of times per placement.
 const GRAD_MIN_ITEMS: usize = 4 * WL_GRAIN;
 
 /// Weighted-average wirelength (Eq. 1) over all wires; optionally
@@ -1142,7 +1070,7 @@ impl CellGrid {
 }
 
 /// Exact total pairwise rectangle-overlap area.
-pub(crate) fn overlap_area(netlist: &Netlist, xs: &[f64], ys: &[f64]) -> f64 {
+fn overlap_area(netlist: &Netlist, xs: &[f64], ys: &[f64]) -> f64 {
     let cells = &netlist.cells;
     let max_width = cells.iter().map(|c| c.dims.width).fold(0.0_f64, f64::max);
     // Sweep on x-sorted order to skip far-apart pairs.
@@ -1538,6 +1466,38 @@ mod tests {
             ..PlacerOptions::default()
         };
         assert!(place(&nl, &bad).is_err());
+        // NaN and +∞ pass every `<`/`<=` bound, so they need their own
+        // checks.
+        for v in [f64::NAN, f64::INFINITY] {
+            for (what, bad) in [
+                (
+                    "gamma",
+                    PlacerOptions {
+                        gamma: v,
+                        ..PlacerOptions::fast()
+                    },
+                ),
+                (
+                    "omega",
+                    PlacerOptions {
+                        omega: v,
+                        ..PlacerOptions::fast()
+                    },
+                ),
+                (
+                    "lambda_multiplier",
+                    PlacerOptions {
+                        lambda_multiplier: v,
+                        ..PlacerOptions::fast()
+                    },
+                ),
+            ] {
+                match place(&nl, &bad) {
+                    Err(PhysError::InvalidOption { what: w, .. }) => assert_eq!(w, what),
+                    other => panic!("{what} = {v}: expected InvalidOption, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -168,20 +168,31 @@ pub struct Routing {
 /// # Errors
 ///
 /// Returns [`PhysError::Unroutable`] if wires remain unrouted after
-/// `max_relaxations` rounds, [`PhysError::InvalidOption`] for a
-/// non-positive `theta`, and [`PhysError::DegenerateWire`] for wires with
-/// fewer than two pins.
+/// `max_relaxations` rounds, [`PhysError::InvalidOption`] unless `theta`
+/// is finite and > 0 and `congestion_penalty` finite and ≥ 0, and
+/// [`PhysError::DegenerateWire`] for wires with fewer than two pins.
 pub fn route(
     netlist: &Netlist,
     placement: &Placement,
     _tech: &TechnologyModel,
     options: &RouterOptions,
 ) -> Result<Routing, PhysError> {
-    if options.theta <= 0.0 {
-        return Err(PhysError::InvalidOption {
-            what: "theta",
-            value: options.theta.to_string(),
-        });
+    // A negative penalty would also break the unit edge-cost floor the
+    // A* heuristic relies on.
+    for (what, value, in_range) in [
+        ("theta", options.theta, options.theta > 0.0),
+        (
+            "congestion_penalty",
+            options.congestion_penalty,
+            options.congestion_penalty >= 0.0,
+        ),
+    ] {
+        if !(value.is_finite() && in_range) {
+            return Err(PhysError::InvalidOption {
+                what,
+                value: value.to_string(),
+            });
+        }
     }
     if netlist.cells.is_empty() {
         return Err(PhysError::EmptyNetlist);
@@ -1092,6 +1103,26 @@ mod tests {
             ..RouterOptions::default()
         };
         assert!(route(&nl, &p, &TechnologyModel::nm45(), &bad).is_err());
+        // Non-finite values, and the congestion penalty (a negative one
+        // would undercut the A* heuristic's unit edge-cost floor).
+        let cases = [
+            ("theta", f64::NAN, 2.0),
+            ("theta", f64::INFINITY, 2.0),
+            ("congestion_penalty", 4.0, f64::NAN),
+            ("congestion_penalty", 4.0, f64::INFINITY),
+            ("congestion_penalty", 4.0, -1.0),
+        ];
+        for (what, theta, congestion_penalty) in cases {
+            let bad = RouterOptions {
+                theta,
+                congestion_penalty,
+                ..RouterOptions::default()
+            };
+            match route(&nl, &p, &TechnologyModel::nm45(), &bad) {
+                Err(PhysError::InvalidOption { what: w, .. }) => assert_eq!(w, what),
+                other => panic!("theta {theta}, penalty {congestion_penalty}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

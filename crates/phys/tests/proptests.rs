@@ -7,9 +7,7 @@
 
 use ncs_cluster::full_crossbar;
 use ncs_net::generators;
-use ncs_phys::{
-    place, place_annealed, route, AnnealOptions, Netlist, PlacerOptions, RouterOptions,
-};
+use ncs_phys::{place, route, Netlist, PlacerOptions, RouterOptions};
 use ncs_rng::Rng;
 use ncs_tech::TechnologyModel;
 
@@ -45,21 +43,6 @@ fn placement_is_always_legal() {
         assert!(
             p.area_um2(&nl) >= nl.total_cell_area() * 0.99,
             "case {case}"
-        );
-    }
-}
-
-#[test]
-fn annealed_placement_is_always_legal() {
-    let mut rng = Rng::seed_from_u64(0x7032);
-    for case in 0..CASES {
-        let n = rng.gen_range(10usize..40);
-        let seed = rng.gen_range(0u64..100);
-        let nl = random_netlist(n, 0.06, 16, seed);
-        let p = place_annealed(&nl, &AnnealOptions::fast()).unwrap();
-        assert!(
-            p.final_overlap_um2 < 0.02 * nl.total_cell_area().max(1.0),
-            "case {case}: n={n} seed={seed}"
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The cache is *content-addressed*: a stage result is filed under a
 //! 128-bit key derived from the canonical bytes of everything that
-//! determines it — the stage tag, the canonicalized input, the options
-//! fingerprint and the seed. The hash must therefore be a pure function
+//! determines it — the stage tag, the canonicalized input, the seed and
+//! the size limit. The hash must therefore be a pure function
 //! of those bytes, stable across processes, platforms and releases
 //! (unlike `std`'s `DefaultHasher`, whose output is explicitly
 //! unspecified). Two independent FNV-1a lanes with distinct offset

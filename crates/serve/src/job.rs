@@ -7,14 +7,15 @@
 //! them, and the 128-bit cache [`Key`] is computed over
 //!
 //! ```text
-//! (key version, stage tag, options fingerprint,
-//!  canonical input bytes, seed, max_size)
+//! (version, stage tag, canonical input bytes, seed, max_size)
 //! ```
 //!
 //! so two textually different encodings of the same network — comment
 //! lines, edge order, whitespace — share one cache entry, while any
-//! change to the options, the seed or the connectivity produces a
-//! different key. Execution then runs the pure flow stage and encodes
+//! change to the seed, the size limit or the connectivity produces a
+//! different key. The flow options are a pure function of
+//! `(seed, max_size)` ([`FlowConfig::derive`]) and the cache lives inside
+//! one process, so the key needs no separate options field. Execution then runs the pure flow stage and encodes
 //! the result into canonical response bytes (every float as `to_bits()`),
 //! which is what the cache stores and what warm responses replay
 //! byte-for-byte.
@@ -25,11 +26,12 @@ use ncs_phys::{implement_mapping, ImplementOptions, PhysicalDesign};
 use ncs_tech::TechnologyModel;
 
 use crate::error::ServeError;
-use crate::hash::{fnv64, Key, StableHasher};
+use crate::hash::{Key, StableHasher};
 use crate::proto::{self, GenKind, GenSpec, MapSpec, Request};
 
-/// Bumped whenever the key derivation or a canonical encoding changes,
-/// so stale keys can never alias fresh ones.
+/// Version of the canonical encodings: the byte after the `NCSM`/`NCSI`
+/// magic of every encoded result, also hashed first into every cache
+/// key. Bump it when an encoding changes.
 pub const CACHE_KEY_VERSION: u8 = 1;
 
 /// The flow stages the service caches.
@@ -104,9 +106,8 @@ impl Stage {
 
 /// Flow configuration derived from the two request knobs, mirroring
 /// the `autoncs` CLI's `framework()` exactly: same size set, same
-/// defaults, same technology model. The derivation is part of the cache
-/// key (via [`options_fingerprint`]), so a change here invalidates old
-/// entries instead of aliasing them.
+/// defaults, same technology model. Both knobs are in the cache key, so
+/// the configuration they derive needs no key field of its own.
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
     /// ISC clustering options.
@@ -137,14 +138,6 @@ impl FlowConfig {
             implement: ImplementOptions::default(),
             tech: TechnologyModel::nm45(),
         })
-    }
-
-    /// 64-bit fingerprint of every option that affects results. The
-    /// `Debug` renderings include all fields, so any option change —
-    /// including ones added later — perturbs the fingerprint.
-    pub fn options_fingerprint(&self) -> u64 {
-        let rendered = format!("{:?}|{:?}|{:?}", self.isc, self.implement, self.tech);
-        fnv64(rendered.as_bytes())
     }
 }
 
@@ -205,11 +198,10 @@ fn gen_key(spec: &GenSpec) -> Key {
     h.finish()
 }
 
-fn flow_key(stage: Stage, spec: &MapSpec, config: &FlowConfig, canonical: &[u8]) -> Key {
+fn flow_key(stage: Stage, spec: &MapSpec, canonical: &[u8]) -> Key {
     let mut h = StableHasher::new();
     h.write_u8(CACHE_KEY_VERSION);
     h.write_u8(stage.tag());
-    h.write_u64(config.options_fingerprint());
     h.write_bytes(canonical);
     h.write_u64(spec.seed);
     h.write_u32(spec.max_size);
@@ -239,7 +231,7 @@ pub fn prepare(req: &Request) -> Result<PreparedJob, ServeError> {
             };
             let (net, canonical) = canonicalize_net(&spec.net)?;
             let config = FlowConfig::derive(spec.seed, spec.max_size)?;
-            let key = flow_key(stage, spec, &config, &canonical);
+            let key = flow_key(stage, spec, &canonical);
             Ok(PreparedJob {
                 stage,
                 key,

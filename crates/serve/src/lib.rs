@@ -14,7 +14,7 @@
 //!   batch boundaries and thread count.
 //! - **Cache** ([`cache`]): in-memory content-addressed store keyed by
 //!   a stable 128-bit hash ([`hash`]) of the canonicalized input, the
-//!   options fingerprint and the seed ([`job`]), with deterministic
+//!   seed and the size limit ([`job`]), with deterministic
 //!   LRU eviction and per-stage hit/miss/eviction counters mirrored to
 //!   `ncs-trace`.
 //! - **Server/client** ([`server`], [`client`]): the accept/handler

@@ -750,4 +750,80 @@ mod tests {
             .to_string()
             .contains("exceeds the"));
     }
+
+    /// Random bytes of length `0..max_len`.
+    fn random_bytes(rng: &mut ncs_rng::Rng, max_len: usize) -> Vec<u8> {
+        (0..rng.gen_range(0..max_len))
+            .map(|_| (rng.next_u64() & 0xff) as u8)
+            .collect()
+    }
+
+    fn random_request(rng: &mut ncs_rng::Rng) -> Request {
+        let spec = |rng: &mut ncs_rng::Rng| MapSpec {
+            net: random_bytes(rng, 24),
+            seed: rng.next_u64(),
+            max_size: rng.next_u64() as u32,
+        };
+        match rng.gen_range(0usize..5) {
+            0 => Request::Gen(GenSpec {
+                kind: [GenKind::Random, GenKind::Clusters, GenKind::Ldpc][rng.gen_range(0usize..3)],
+                neurons: rng.next_u64() as u32,
+                clusters: rng.next_u64() as u32,
+                density: rng.gen_f64(),
+                seed: rng.next_u64(),
+            }),
+            1 => Request::Map(spec(rng)),
+            2 => Request::Implement(spec(rng)),
+            3 => Request::Stats,
+            _ => Request::ClearCache,
+        }
+    }
+
+    fn random_response(rng: &mut ncs_rng::Rng) -> Response {
+        let bytes = random_bytes(rng, 24);
+        match rng.gen_range(0usize..6) {
+            0 => Response::Net(bytes),
+            1 => Response::Map(bytes),
+            2 => Response::Implement(bytes),
+            3 => Response::Stats(bytes),
+            4 => Response::Cleared {
+                entries: rng.next_u64(),
+            },
+            _ => Response::Error {
+                code: rng.next_u64() as u16,
+                message: bytes.iter().map(|&b| char::from(b % 95 + 32)).collect(),
+            },
+        }
+    }
+
+    #[test]
+    fn decoders_fail_only_with_typed_errors_on_seeded_garbage() {
+        // Random payloads, and valid encodings with one byte flipped or
+        // the tail cut off, through both decoders: each returns a value
+        // or a `ProtoError`, never panics. A request that decodes
+        // re-encodes to the very bytes it came from.
+        let mut rng = ncs_rng::Rng::seed_from_u64(0x5e7e);
+        for case in 0..4000 {
+            let request = random_request(&mut rng);
+            let response = random_response(&mut rng);
+            let valid = [encode_request(&request), encode_response(&response)];
+            assert_eq!(decode_request(&valid[0]).unwrap(), request, "case {case}");
+            assert_eq!(decode_response(&valid[1]).unwrap(), response, "case {case}");
+            let mut payload = valid[case % 2].clone();
+            match case % 3 {
+                0 => payload = random_bytes(&mut rng, 48),
+                1 => {
+                    let at = rng.gen_range(0..payload.len());
+                    payload[at] ^= rng.gen_range(1u64..256) as u8;
+                }
+                _ => payload.truncate(rng.gen_range(0..payload.len())),
+            }
+            if let Ok(req) = decode_request(&payload) {
+                assert_eq!(encode_request(&req), payload, "case {case}");
+            }
+            if let Err(e) = decode_response(&payload) {
+                assert!(!e.to_string().is_empty(), "case {case}");
+            }
+        }
+    }
 }

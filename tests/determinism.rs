@@ -188,7 +188,6 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
             "isc.iterations",
             "isc.clusters_selected",
             "isc.connections_removed",
-            "phys.rounds",
             // Clustering makes no par-layer launch (the QL replay runs in
             // its plain inline loop at this testbench size, 120³ < the
             // 128³ floor, and records no decision), so the first cutoff
@@ -368,45 +367,6 @@ fn routing_order_is_unchanged_by_the_squared_distance_comparison() {
         order_by(&closest(false)),
         order_by(&closest(true)),
         "squared-distance routing order diverged from the sqrt order"
-    );
-}
-
-#[test]
-fn nesterov_placement_is_bit_identical_across_thread_counts() {
-    // The same thread-count contract for the second placement engine:
-    // the Nesterov flow — grid-binned density gradients, Lipschitz
-    // backtracking, row-based legalization — folds its gradient terms
-    // in chunk order, so every coordinate must come out bit-identical
-    // whether the ncs-par kernels run on one worker or four.
-    use ncs_phys::{place, PlaceAlgorithm, PlacerOptions};
-    let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
-    let framework = AutoNcs::fast();
-    let result = framework.run(tb.network()).expect("flow succeeds");
-    let netlist = &result.design.netlist;
-    let options = PlacerOptions {
-        algorithm: PlaceAlgorithm::Nesterov,
-        ..PlacerOptions::default()
-    };
-    let place_at = |t: usize| {
-        with_thread_override(t, || place(netlist, &options).expect("placement succeeds"))
-    };
-    let serial = place_at(1);
-    let pooled = place_at(4);
-    assert_eq!(
-        f64_bits(&serial.x),
-        f64_bits(&pooled.x),
-        "Nesterov x coordinates diverged between NCS_THREADS=1 and 4"
-    );
-    assert_eq!(
-        f64_bits(&serial.y),
-        f64_bits(&pooled.y),
-        "Nesterov y coordinates diverged between NCS_THREADS=1 and 4"
-    );
-    // And the engine did real work: the legalized result is overlap-free.
-    assert!(
-        serial.final_overlap_um2 < 1e-6,
-        "the row-based legalizer must leave zero overlap, got {}",
-        serial.final_overlap_um2
     );
 }
 

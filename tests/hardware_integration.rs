@@ -1,12 +1,11 @@
 //! Cross-crate integration: ISC mapping → analog crossbar programming →
-//! hardware-in-the-loop recall, plus the routability-driven physical
-//! design loop.
+//! hardware-in-the-loop recall, plus the shared-net netlist model.
 
 use autoncs::hw::{EvaluationMode, HardwareModel};
 use autoncs::AutoNcs;
 use ncs_cluster::{CrossbarSizeSet, IscOptions};
 use ncs_net::{Testbench, TestbenchSpec};
-use ncs_phys::{implement_mapping, ImplementOptions, Netlist};
+use ncs_phys::Netlist;
 use ncs_tech::TechnologyModel;
 use ncs_xbar::{program_write_verify, DeviceModel, ProgrammingScheme};
 
@@ -99,33 +98,6 @@ fn write_verify_programming_supports_whole_mapping() {
             report.max_residual
         );
     }
-}
-
-#[test]
-fn routability_loop_never_worsens_cost() {
-    let tb = mini_testbench();
-    let (mapping, _) = framework().map(tb.network()).unwrap();
-    let tech = TechnologyModel::nm45();
-    let single = implement_mapping(&mapping, &tech, &ImplementOptions::fast()).unwrap();
-    let looped = implement_mapping(
-        &mapping,
-        &tech,
-        &ImplementOptions {
-            // Force extra rounds by demanding an impossible congestion.
-            routability_iterations: 2,
-            congestion_target: 1,
-            ..ImplementOptions::fast()
-        },
-    )
-    .unwrap();
-    // The loop keeps the cheapest attempt, so it can only match or beat
-    // the single-pass flow (same first round).
-    assert!(
-        looped.cost.total() <= single.cost.total() + 1e-9,
-        "looped {} vs single {}",
-        looped.cost.total(),
-        single.cost.total()
-    );
 }
 
 #[test]
