@@ -14,8 +14,8 @@
 //!   linalg            dense eigensolver, spectral embedding, CG minimizer
 //!   par               serial-vs-parallel speedups of the ncs-par kernels
 //!   physical_design   placement (autoncs vs fullcro) and maze routing
-//!   place             incremental detailed swap vs full-recompute reference
-//!   route             windowed A* router vs full-grid Dijkstra reference
+//!   place             incremental detailed swap on pairwise and shared nets
+//!   route             windowed A* router on placed hybrid mappings
 //!   scale             sparse-first gen→cluster→map at 2k-20k neurons
 //!   serve             flow-service cold vs warm latency over real sockets
 //!   xbar              ideal vs IR-drop crossbar evaluation
@@ -35,10 +35,7 @@ use ncs_cluster::{
 use ncs_linalg::optimize::{minimize, CgOptions};
 use ncs_linalg::{DenseMatrix, SymmetricEigen};
 use ncs_net::{generators, HopfieldNetwork, PatternSet, Testbench, TestbenchSpec};
-use ncs_phys::{
-    detailed_swap, detailed_swap_reference, place, route, Netlist, PlacerOptions, RouteAlgorithm,
-    RouterOptions,
-};
+use ncs_phys::{detailed_swap, place, route, Netlist, PlacerOptions, RouterOptions};
 use ncs_tech::TechnologyModel;
 use ncs_xbar::{CrossbarArray, DeviceModel};
 
@@ -343,12 +340,10 @@ fn physical_design() {
     report_artifact(&group.write_json());
 }
 
-/// Hot-path router benches: the production windowed-A* search vs the
-/// full-grid Dijkstra reference on the same placed hybrid mappings, with
-/// the thread override pinned to 1 so the medians measure the serial
-/// kernel (the regression gate for the A* rework) rather than whatever
-/// parallelism the host offers. Both algorithms produce bit-identical
-/// routes — see `tests/determinism.rs` — so this is a pure speed contest.
+/// Hot-path router benches: the windowed-A* router on placed hybrid
+/// mappings of two sizes, with the thread override pinned to 1 so the
+/// medians measure the serial kernel rather than whatever parallelism the
+/// host offers.
 fn route_hot_path() {
     println!("[bench] route");
     ncs_par::set_thread_override(Some(1));
@@ -369,29 +364,15 @@ fn route_hot_path() {
         group.bench(&format!("astar_window/{n}"), || {
             route(&nl, &p, &tech, &RouterOptions::default()).unwrap()
         });
-        group.bench(&format!("dijkstra_reference/{n}"), || {
-            route(
-                &nl,
-                &p,
-                &tech,
-                &RouterOptions {
-                    algorithm: RouteAlgorithm::DijkstraReference,
-                    ..RouterOptions::default()
-                },
-            )
-            .unwrap()
-        });
     }
     ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
 }
 
 /// Hot-path detailed-placement benches: the incremental bounding-box swap
-/// refinement vs the full-HPWL-recompute reference, on both netlist
-/// flavors (pairwise neuron↔device wires and folded shared nets), starting
-/// from the same analytic placement each iteration. Serial medians
-/// (thread override pinned to 1); both swap paths accept exactly the same
-/// swaps — see `tests/determinism.rs`.
+/// refinement on both netlist flavors (pairwise neuron↔device wires and
+/// folded shared nets), starting from the same analytic placement each
+/// iteration. Serial medians (thread override pinned to 1).
 fn place_hot_path() {
     println!("[bench] place");
     ncs_par::set_thread_override(Some(1));
@@ -418,11 +399,6 @@ fn place_hot_path() {
         group.bench(&format!("incremental/{tag}"), || {
             let mut p = base.clone();
             detailed_swap(&nl, &mut p, 8);
-            p
-        });
-        group.bench(&format!("reference/{tag}"), || {
-            let mut p = base.clone();
-            detailed_swap_reference(&nl, &mut p, 8);
             p
         });
     }

@@ -51,6 +51,34 @@ impl CrossbarSizeSet {
         }
     }
 
+    /// The paper's sizes up to `max`: 16, 20, …, `max`. A limit outside
+    /// the paper's sizes is refused rather than rounded, so a request can
+    /// neither fall below 16×16 nor reach past the 64×64 fabrication
+    /// limit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidSizeLimit`] unless `max` is one of
+    /// 16, 20, …, 64; nothing is allocated in that case.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ncs_cluster::CrossbarSizeSet;
+    ///
+    /// assert_eq!(CrossbarSizeSet::paper_up_to(24).unwrap().sizes(), &[16, 20, 24]);
+    /// assert!(CrossbarSizeSet::paper_up_to(30).is_err());
+    /// assert!(CrossbarSizeSet::paper_up_to(96).is_err());
+    /// ```
+    pub fn paper_up_to(max: usize) -> Result<Self, ClusterError> {
+        if !(16..=64).contains(&max) || !max.is_multiple_of(4) {
+            return Err(ClusterError::InvalidSizeLimit { limit: max });
+        }
+        Ok(CrossbarSizeSet {
+            sizes: (16..=max).step_by(4).collect(),
+        })
+    }
+
     /// A single-size set (used by the FullCro baseline).
     pub fn single(size: usize) -> Result<Self, ClusterError> {
         Self::new([size])

@@ -17,7 +17,8 @@ pub enum ClusterError {
     },
     /// The crossbar size set is empty or unusable.
     EmptySizeSet,
-    /// A size limit smaller than 1 was requested.
+    /// A size limit of zero was requested, or one that no available
+    /// crossbar size matches.
     InvalidSizeLimit {
         /// The offending limit.
         limit: usize,
@@ -51,8 +52,14 @@ impl fmt::Display for ClusterError {
                 write!(f, "cluster count {k} invalid for {points} points")
             }
             ClusterError::EmptySizeSet => write!(f, "crossbar size set is empty"),
+            ClusterError::InvalidSizeLimit { limit: 0 } => {
+                write!(f, "cluster size limit 0 must be at least 1")
+            }
             ClusterError::InvalidSizeLimit { limit } => {
-                write!(f, "cluster size limit {limit} must be at least 1")
+                write!(
+                    f,
+                    "cluster size limit {limit} matches no available crossbar size"
+                )
             }
             ClusterError::InvalidThreshold { value } => {
                 write!(f, "utilization threshold {value} must lie in [0, 1]")

@@ -68,7 +68,10 @@ commands:
       [--out-prefix PREFIX]                       full flow + plot artifacts
   serve [--addr HOST:PORT] [--batch N]
       [--cache-capacity N] [--max-conns N]
-      [--addr-file PATH]                          run the batched flow service";
+      [--addr-file PATH]                          run the batched flow service
+
+--max-size M caps the crossbar sizes at M, one of the paper's 16, 20, …, 64
+(default 64).";
 
 /// Minimal flag parser: positional arguments plus `--key value` pairs.
 #[derive(Debug)]
@@ -164,8 +167,8 @@ fn load_net(path: &str) -> Result<ConnectionMatrix, String> {
 fn framework(flags: &Flags) -> Result<AutoNcs, String> {
     let seed: u64 = flags.get_parsed("seed", 42)?;
     let max_size: usize = flags.get_parsed("max-size", 64)?;
-    let sizes =
-        CrossbarSizeSet::new((16..=max_size.max(16)).step_by(4)).map_err(|e| e.to_string())?;
+    let sizes = CrossbarSizeSet::paper_up_to(max_size)
+        .map_err(|e| format!("bad --max-size {max_size}: {e} (use 16, 20, …, 64)"))?;
     Ok(AutoNcs::builder()
         .isc_options(IscOptions {
             sizes,
@@ -473,6 +476,37 @@ mod tests {
             let err = run(&strings(&args)).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag} ")), "{err}");
             assert!(err.contains("accepted: --"), "{err}");
+        }
+    }
+
+    #[test]
+    fn max_size_outside_the_paper_sizes_is_an_error_that_names_the_flag() {
+        let dir = std::env::temp_dir().join("autoncs_cli_max_size_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let net_path = dir.join("net.txt");
+        let net_str = net_path.to_str().unwrap().to_string();
+        run(&strings(&[
+            "gen",
+            "--kind",
+            "clusters",
+            "--neurons",
+            "96",
+            "--clusters",
+            "3",
+            "--out",
+            &net_str,
+        ]))
+        .unwrap();
+        // Below 16, between two sizes, past the 64×64 limit, and a value
+        // whose size range, were it expanded, would take gigabytes.
+        for max_size in ["8", "30", "200", "4000000000"] {
+            for command in ["map", "compare", "implement"] {
+                let err = run(&strings(&[command, &net_str, "--max-size", max_size])).unwrap_err();
+                assert!(
+                    err.contains(&format!("bad --max-size {max_size}:")),
+                    "{command}: {err}"
+                );
+            }
         }
     }
 

@@ -54,8 +54,8 @@ mod route;
 pub use cost::{CostWeights, PhysicalCost};
 pub use error::PhysError;
 pub use netlist::{Cell, CellId, Netlist, Wire, WireId};
-pub use place::{detailed_swap, detailed_swap_reference, place, Placement, PlacerOptions};
-pub use route::{route, CongestionMap, RouteAlgorithm, RouterOptions, Routing};
+pub use place::{detailed_swap, place, Placement, PlacerOptions};
+pub use route::{route, CongestionMap, RouterOptions, Routing};
 
 use ncs_cluster::HybridMapping;
 use ncs_tech::TechnologyModel;
@@ -122,5 +122,30 @@ pub fn implement_mapping(
         placement,
         routing,
         cost,
+    })
+}
+
+/// The determinism suite's pinned flow design, built once per test
+/// binary: testbench spec 77 (120 neurons) at seed 42, mapped by ISC with
+/// default options and placed with [`PlacerOptions::fast`], as
+/// `AutoNcs::fast()` does. The equivalence tests against the swap and
+/// router oracles run on it.
+#[cfg(test)]
+fn pinned_flow_design() -> &'static (Netlist, Placement) {
+    static DESIGN: std::sync::OnceLock<(Netlist, Placement)> = std::sync::OnceLock::new();
+    DESIGN.get_or_init(|| {
+        let spec = ncs_net::TestbenchSpec {
+            id: 77,
+            patterns: 6,
+            neurons: 120,
+            sparsity: 0.92,
+        };
+        let tb = ncs_net::Testbench::from_spec(spec, 42).unwrap();
+        let mapping = ncs_cluster::Isc::new(ncs_cluster::IscOptions::default())
+            .run(tb.network())
+            .unwrap();
+        let netlist = Netlist::from_mapping(&mapping, &TechnologyModel::nm45());
+        let placement = place(&netlist, &PlacerOptions::fast()).unwrap();
+        (netlist, placement)
     })
 }

@@ -453,10 +453,10 @@ impl WireBox {
 /// an exact-rescan fallback. Accepted swaps rebuild the caches of the
 /// touched wires. Every evaluated quantity is numerically identical to
 /// full recomputation (extrema are exact selections and the per-wire
-/// summation order matches [`detailed_swap_reference`]), so the
-/// accept/reject sequence — and therefore the final placement, bit for
-/// bit — cannot diverge from the reference; the determinism suite pins
-/// this.
+/// summation order matches the full-recompute oracle in the tests), so
+/// the accept/reject sequence — and therefore the final placement, bit
+/// for bit — cannot diverge from it; the tests pin this on the
+/// determinism suite's flow design.
 pub fn detailed_swap(netlist: &Netlist, placement: &mut Placement, passes: usize) {
     let (wires_of, groups) = swap_structures(netlist);
     let mut boxes: Vec<WireBox> = netlist
@@ -561,56 +561,6 @@ pub fn detailed_swap(netlist: &Netlist, placement: &mut Placement, passes: usize
     }
     ncs_trace::add("place.incremental_hits", incremental_hits);
     ncs_trace::add("place.exact_fallbacks", exact_fallbacks);
-}
-
-/// Reference implementation of [`detailed_swap`]: identical swap order
-/// and accept rule, but every candidate is scored by fully recomputing
-/// the HPWL of the touched wires. Kept for the equivalence tests and the
-/// `bench place` regression gate.
-pub fn detailed_swap_reference(netlist: &Netlist, placement: &mut Placement, passes: usize) {
-    let (wires_of, groups) = swap_structures(netlist);
-    let hpwl = |wid: usize, xs: &[f64], ys: &[f64]| -> f64 {
-        let w = &netlist.wires[wid];
-        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
-        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &p in &w.pins {
-            x0 = x0.min(xs[p]);
-            x1 = x1.max(xs[p]);
-            y0 = y0.min(ys[p]);
-            y1 = y1.max(ys[p]);
-        }
-        w.weight * ((x1 - x0) + (y1 - y0))
-    };
-    for _ in 0..passes {
-        let mut improved = false;
-        for members in groups.values() {
-            for (ai, &a) in members.iter().enumerate() {
-                for &b in &members[ai + 1..] {
-                    let before: f64 = wires_of[a]
-                        .iter()
-                        .chain(&wires_of[b])
-                        .map(|&w| hpwl(w, &placement.x, &placement.y))
-                        .sum();
-                    placement.x.swap(a, b);
-                    placement.y.swap(a, b);
-                    let after: f64 = wires_of[a]
-                        .iter()
-                        .chain(&wires_of[b])
-                        .map(|&w| hpwl(w, &placement.x, &placement.y))
-                        .sum();
-                    if after + 1e-12 < before {
-                        improved = true;
-                    } else {
-                        placement.x.swap(a, b);
-                        placement.y.swap(a, b);
-                    }
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
 }
 
 /// Normalizes a placement to the positive quadrant for readability.
@@ -1388,6 +1338,55 @@ mod tests {
     use ncs_cluster::{CrossbarAssignment, HybridMapping};
     use ncs_tech::TechnologyModel;
 
+    /// The oracle for [`detailed_swap`]: identical swap order and accept
+    /// rule, but every candidate is scored by fully recomputing the HPWL
+    /// of the touched wires.
+    fn detailed_swap_reference(netlist: &Netlist, placement: &mut Placement, passes: usize) {
+        let (wires_of, groups) = swap_structures(netlist);
+        let hpwl = |wid: usize, xs: &[f64], ys: &[f64]| -> f64 {
+            let w = &netlist.wires[wid];
+            let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+            let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for &p in &w.pins {
+                x0 = x0.min(xs[p]);
+                x1 = x1.max(xs[p]);
+                y0 = y0.min(ys[p]);
+                y1 = y1.max(ys[p]);
+            }
+            w.weight * ((x1 - x0) + (y1 - y0))
+        };
+        for _ in 0..passes {
+            let mut improved = false;
+            for members in groups.values() {
+                for (ai, &a) in members.iter().enumerate() {
+                    for &b in &members[ai + 1..] {
+                        let before: f64 = wires_of[a]
+                            .iter()
+                            .chain(&wires_of[b])
+                            .map(|&w| hpwl(w, &placement.x, &placement.y))
+                            .sum();
+                        placement.x.swap(a, b);
+                        placement.y.swap(a, b);
+                        let after: f64 = wires_of[a]
+                            .iter()
+                            .chain(&wires_of[b])
+                            .map(|&w| hpwl(w, &placement.x, &placement.y))
+                            .sum();
+                        if after + 1e-12 < before {
+                            improved = true;
+                        } else {
+                            placement.x.swap(a, b);
+                            placement.y.swap(a, b);
+                        }
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
     fn small_netlist() -> Netlist {
         let xbar = CrossbarAssignment::new(vec![0, 1, 2], vec![0, 1, 2], 16, vec![(0, 1), (1, 2)]);
         let mapping = HybridMapping::new(5, vec![xbar], vec![(3, 4)]);
@@ -2072,6 +2071,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn incremental_detailed_swap_matches_reference_on_the_flow() {
+        // The incremental bounding-box bookkeeping in detailed_swap must
+        // make exactly the same accept/reject decisions as the
+        // full-HPWL-recompute oracle — on the determinism suite's pinned
+        // flow design the refined coordinates agree bit for bit after
+        // several passes.
+        let (nl, placement) = crate::pinned_flow_design();
+        let mut incremental = placement.clone();
+        let mut reference = placement.clone();
+        detailed_swap(nl, &mut incremental, 4);
+        detailed_swap_reference(nl, &mut reference, 4);
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&incremental.x),
+            bits(&reference.x),
+            "incremental detailed swap diverged from the reference in x"
+        );
+        assert_eq!(
+            bits(&incremental.y),
+            bits(&reference.y),
+            "incremental detailed swap diverged from the reference in y"
+        );
+        assert_ne!(
+            bits(&incremental.x),
+            bits(&placement.x),
+            "the swap passes did real refinement work on the flow placement"
+        );
     }
 
     #[test]

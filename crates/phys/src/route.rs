@@ -1,43 +1,23 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use ncs_tech::TechnologyModel;
 
 use crate::{CellId, Netlist, PhysError, Placement, WireId};
-
-/// Wires speculatively routed per batch before the ordered commit pass.
-/// Every wire of a batch plans against the same congestion snapshot, so
-/// the batch size is part of the routing result.
-const ROUTE_BATCH: usize = 8;
 
 /// Initial bounding-box margin (in bins) of the windowed A* search. The
 /// window doubles on every expansion, so the start value only trades the
 /// cost of the first search against the odds of a second one.
 const WINDOW_MARGIN: usize = 4;
 
-/// Private usage overlay for speculative routing: extra traversals per
-/// grid edge, keyed by `(owning bin index, horizontal)`, layered on top
-/// of a frozen congestion snapshot.
-type EdgeOverlay = BTreeMap<(usize, bool), usize>;
-
-/// A speculatively planned wire: one bin path per MST segment.
-type SegPaths = Vec<Vec<(usize, usize)>>;
-
-/// Which search backs every maze-routed segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteAlgorithm {
-    /// A* with the admissible Manhattan heuristic inside an expanding
-    /// bounding-box window (the default). Produces the same paths as
-    /// [`RouteAlgorithm::DijkstraReference`], bit for bit — the window
-    /// only commits a result when it can prove no escape path beats it,
-    /// and both searches reconstruct the canonical optimal path.
-    #[default]
-    AStarWindow,
-    /// Full-grid Dijkstra, kept as the reference implementation for the
-    /// equivalence tests and the `bench route` regression gate.
-    DijkstraReference,
-}
+/// A segment search: `(grid, source bin, target bin, capacity, penalty,
+/// window expansions)` to the canonical optimal bin path, or `None` when
+/// no capacity-respecting path exists. [`route`] uses
+/// [`Grid::shortest_path`]; the tests substitute the full-grid Dijkstra
+/// oracle.
+type SegmentSearch =
+    fn(&Grid, (usize, usize), (usize, usize), usize, f64, &mut u64) -> Option<Vec<(usize, usize)>>;
 
 /// Options for the global router.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +34,6 @@ pub struct RouterOptions {
     /// Maximum capacity-relaxation rounds before reporting
     /// [`PhysError::Unroutable`].
     pub max_relaxations: usize,
-    /// Shortest-path search backing every routed segment.
-    pub algorithm: RouteAlgorithm,
 }
 
 impl Default for RouterOptions {
@@ -65,7 +43,6 @@ impl Default for RouterOptions {
             virtual_capacity: 8,
             congestion_penalty: 2.0,
             max_relaxations: 16,
-            algorithm: RouteAlgorithm::default(),
         }
     }
 }
@@ -150,20 +127,17 @@ pub struct Routing {
 ///
 /// Per Section 3.5: wires are ordered by the distance from the center of
 /// gravity of all cells to their closest pin (with wire weight as the tie
-/// breaker), maze-routed under the current capacity (windowed A* by
-/// default, see [`RouteAlgorithm`]), and any wires that fail are retried
-/// after the virtual capacity is relaxed.
-///
-/// Routing proceeds in fixed-size batches: each batch is planned
-/// speculatively against the congestion snapshot frozen at batch start,
-/// then committed sequentially in batch order with re-validation; plans
-/// invalidated by an earlier commit re-enter the queue at the same
-/// capacity.
+/// breaker), maze-routed one at a time on the live grid under the current
+/// capacity (windowed A*), and any wires that fail are retried after the
+/// virtual capacity is relaxed.
 ///
 /// Multi-pin wires are decomposed into a Manhattan minimum spanning tree
-/// over their pins and each tree edge is maze-routed independently (the
-/// default netlist generator emits 2-pin wires; the shared-net model
-/// produces genuine multi-pin nets).
+/// over their pins and each tree edge is maze-routed in turn (the default
+/// netlist generator emits 2-pin wires; the shared-net model produces
+/// genuine multi-pin nets). Each segment commits as soon as its path is
+/// found, so later segments of the same wire see it; a wire with an
+/// unroutable segment rolls back its committed segments and waits for the
+/// next relaxation.
 ///
 /// # Errors
 ///
@@ -176,6 +150,17 @@ pub fn route(
     placement: &Placement,
     _tech: &TechnologyModel,
     options: &RouterOptions,
+) -> Result<Routing, PhysError> {
+    route_with(netlist, placement, options, Grid::shortest_path)
+}
+
+/// [`route`] with the segment search as a parameter, so the tests can run
+/// the whole router on the full-grid Dijkstra oracle.
+fn route_with(
+    netlist: &Netlist,
+    placement: &Placement,
+    options: &RouterOptions,
+    shortest_path: SegmentSearch,
 ) -> Result<Routing, PhysError> {
     // A negative penalty would also break the unit edge-cost floor the
     // A* heuristic relies on.
@@ -255,66 +240,31 @@ pub fn route(
 
     loop {
         let mut failed = Vec::new();
-        // Batched speculative routing with an ordered sequential commit
-        // (see the doc comment). The batches are part of the result:
-        // planning each wire on the live grid would route differently.
-        let mut queue: VecDeque<WireId> = pending.drain(..).collect();
-        while !queue.is_empty() {
-            let take = queue.len().min(ROUTE_BATCH);
-            let batch: Vec<WireId> = queue.drain(..take).collect();
-            // Speculative phase. A wire decomposes into a Manhattan MST
-            // over its pins; its own segments see each other through a
-            // private overlay so a multi-pin net respects the congestion
-            // it would itself create. `None` means a segment found no
-            // capacity-respecting path even on the frozen grid.
-            let plans: Vec<Option<SegPaths>> = batch
-                .iter()
-                .map(|&wid| {
-                    let wire = &netlist.wires[wid];
-                    let mut overlay = EdgeOverlay::new();
-                    let mut seg_paths = Vec::new();
-                    for seg in mst_segments(&wire.pins, placement) {
-                        let path = grid.shortest_path(
-                            bin_of(seg.0),
-                            bin_of(seg.1),
-                            capacity,
-                            options.congestion_penalty,
-                            &overlay,
-                            options.algorithm,
-                            &mut window_expansions,
-                        )?;
-                        grid.accumulate(&path, &mut overlay);
-                        seg_paths.push(path);
-                    }
-                    Some(seg_paths)
-                })
-                .collect();
-            // Commit phase: strictly in batch order. The first plannable
-            // wire of every batch commits (its plan was validated against
-            // the exact grid it re-validates on), so each batch makes
-            // progress and the same-capacity retry queue always drains.
-            for (&wid, plan) in batch.iter().zip(plans) {
-                match plan {
-                    None => failed.push(wid),
-                    Some(seg_paths) => {
-                        if grid.try_commit(&seg_paths, capacity) {
-                            ncs_trace::add("route.commits", 1);
-                            let mut length = 0.0;
-                            for p in &seg_paths {
-                                length += (p.len().saturating_sub(1)) as f64 * theta;
-                            }
-                            routed[wid] = Some(RoutedWire {
-                                wire: wid,
-                                path: seg_paths.concat(),
-                                length_um: length,
-                            });
-                        } else {
-                            ncs_trace::add("route.requeues", 1);
-                            queue.push_back(wid);
-                        }
-                    }
-                }
+        for &wid in &pending {
+            let segments = mst_segments(&netlist.wires[wid].pins, placement)
+                .into_iter()
+                .map(|(a, b)| (bin_of(a), bin_of(b)));
+            let Some(seg_paths) = route_wire(
+                &mut grid,
+                segments,
+                capacity,
+                options.congestion_penalty,
+                shortest_path,
+                &mut window_expansions,
+            ) else {
+                failed.push(wid);
+                continue;
+            };
+            ncs_trace::add("route.commits", 1);
+            let mut length = 0.0;
+            for p in &seg_paths {
+                length += (p.len().saturating_sub(1)) as f64 * theta;
             }
+            routed[wid] = Some(RoutedWire {
+                wire: wid,
+                path: seg_paths.concat(),
+                length_um: length,
+            });
         }
         if failed.is_empty() {
             break;
@@ -367,6 +317,32 @@ pub fn route(
     })
 }
 
+/// Routes one wire's segments (`(source bin, target bin)` pairs) in turn
+/// on the live grid, committing each path as soon as it is found. When a
+/// segment has no capacity-respecting path, the wire's committed segments
+/// roll back, so `None` leaves the grid exactly as it was.
+fn route_wire(
+    grid: &mut Grid,
+    segments: impl IntoIterator<Item = ((usize, usize), (usize, usize))>,
+    capacity: usize,
+    penalty: f64,
+    shortest_path: SegmentSearch,
+    expansions: &mut u64,
+) -> Option<Vec<Vec<(usize, usize)>>> {
+    let mut seg_paths: Vec<Vec<(usize, usize)>> = Vec::new();
+    for (src, dst) in segments {
+        let Some(path) = shortest_path(grid, src, dst, capacity, penalty, expansions) else {
+            for path in &seg_paths {
+                grid.release(path);
+            }
+            return None;
+        };
+        grid.commit(&path);
+        seg_paths.push(path);
+    }
+    Some(seg_paths)
+}
+
 /// Prim's minimum spanning tree over a wire's pins in the Manhattan
 /// metric, returned as `(from_cell, to_cell)` segments. Multi-pin nets
 /// routed along their MST use far less wire than naive pin chaining; a
@@ -415,7 +391,7 @@ fn mst_segments(pins: &[CellId], placement: &Placement) -> Vec<(CellId, CellId)>
 /// every entry in O(1), so no per-segment reallocation or clearing ever
 /// happens — a node's `dist`/`closed` state is only meaningful where
 /// `stamp[node] == epoch`. One arena lives in a thread-local and is
-/// reused across segments, wires, batches, and `route()` calls; it grows
+/// reused across segments, wires and `route()` calls; it grows
 /// monotonically to the largest grid seen by its thread.
 struct RouteScratch {
     epoch: u32,
@@ -471,8 +447,8 @@ thread_local! {
 }
 
 /// The routing grid: horizontal/vertical edge usage counters plus a
-/// capacity-respecting shortest-path search (windowed A* by default,
-/// full-grid Dijkstra as the reference).
+/// capacity-respecting shortest-path search (windowed A*; full-grid
+/// Dijkstra is the tests' oracle).
 struct Grid {
     cols: usize,
     rows: usize,
@@ -503,8 +479,7 @@ impl Grid {
     /// when the edge is at or over the virtual capacity (the
     /// FastRoute-style hard limit). Usable edges cost
     /// `1 + penalty · usage / capacity` so wires spread away from
-    /// congested regions; effective usage is the grid counter plus the
-    /// caller's private `overlay`.
+    /// congested regions.
     #[inline]
     fn edge_cost(
         &self,
@@ -512,14 +487,12 @@ impl Grid {
         horizontal: bool,
         capacity: usize,
         penalty: f64,
-        overlay: &EdgeOverlay,
     ) -> Option<f64> {
-        let base = if horizontal {
+        let usage = if horizontal {
             self.h_use[eidx]
         } else {
             self.v_use[eidx]
         };
-        let usage = base + overlay.get(&(eidx, horizontal)).copied().unwrap_or(0);
         if usage >= capacity {
             return None;
         }
@@ -529,30 +502,15 @@ impl Grid {
     /// True when every grid edge incident to `node` is saturated at the
     /// current capacity: the node can neither reach nor be reached by any
     /// other node, so a search touching it is pointless.
-    fn pin_sealed(
-        &self,
-        node: usize,
-        capacity: usize,
-        penalty: f64,
-        overlay: &EdgeOverlay,
-    ) -> bool {
+    fn pin_sealed(&self, node: usize, capacity: usize, penalty: f64) -> bool {
         let c = node % self.cols;
         let r = node / self.cols;
-        (c + 1 >= self.cols
-            || self
-                .edge_cost(node, true, capacity, penalty, overlay)
-                .is_none())
-            && (c == 0
-                || self
-                    .edge_cost(node - 1, true, capacity, penalty, overlay)
-                    .is_none())
-            && (r + 1 >= self.rows
-                || self
-                    .edge_cost(node, false, capacity, penalty, overlay)
-                    .is_none())
+        (c + 1 >= self.cols || self.edge_cost(node, true, capacity, penalty).is_none())
+            && (c == 0 || self.edge_cost(node - 1, true, capacity, penalty).is_none())
+            && (r + 1 >= self.rows || self.edge_cost(node, false, capacity, penalty).is_none())
             && (r == 0
                 || self
-                    .edge_cost(node - self.cols, false, capacity, penalty, overlay)
+                    .edge_cost(node - self.cols, false, capacity, penalty)
                     .is_none())
     }
 
@@ -616,7 +574,6 @@ impl Grid {
         goal: usize,
         capacity: usize,
         penalty: f64,
-        overlay: &EdgeOverlay,
         window: Window,
         heuristic: bool,
     ) -> (Option<f64>, f64) {
@@ -682,8 +639,7 @@ impl Grid {
                 count += 1;
             }
             for &(nn, nc, nr, eidx, horizontal, inside) in &cand[..count] {
-                let Some(edge) = self.edge_cost(eidx, horizontal, capacity, penalty, overlay)
-                else {
+                let Some(edge) = self.edge_cost(eidx, horizontal, capacity, penalty) else {
                     continue;
                 };
                 let hn = if heuristic {
@@ -723,7 +679,6 @@ impl Grid {
     /// every optimal predecessor with identical final distances — so the
     /// reconstructed path is a pure function of the grid state, not of
     /// which search ran or in what order it settled nodes.
-    #[allow(clippy::too_many_arguments)]
     fn canonical_path(
         &self,
         scratch: &RouteScratch,
@@ -731,7 +686,6 @@ impl Grid {
         goal: usize,
         capacity: usize,
         penalty: f64,
-        overlay: &EdgeOverlay,
         window: Window,
     ) -> Option<Vec<(usize, usize)>> {
         let mut path = vec![(goal % self.cols, goal / self.cols)];
@@ -750,8 +704,7 @@ impl Grid {
                 if !scratch.is_set(u) || !scratch.closed[u] {
                     continue;
                 }
-                let Some(edge) = self.edge_cost(eidx, horizontal, capacity, penalty, overlay)
-                else {
+                let Some(edge) = self.edge_cost(eidx, horizontal, capacity, penalty) else {
                     continue;
                 };
                 let through = scratch.dist[u] + edge;
@@ -773,32 +726,126 @@ impl Grid {
     /// capacity-respecting path exists — the caller then relaxes the
     /// virtual capacity and reroutes, per Section 3.5.
     ///
-    /// With [`RouteAlgorithm::AStarWindow`] the search runs inside an
-    /// expanding bounding-box window: start at the segment bbox plus
-    /// [`WINDOW_MARGIN`] bins, and accept a windowed result only when its
-    /// cost beats the escape bound [`Grid::search`] collects — the
-    /// cheapest conceivable cost of any path leaving the window (settled
-    /// distance to a boundary exit, plus the crossing edge, plus the
-    /// admissible Manhattan bound home). A windowed cost strictly below
-    /// that bound (minus a relative-rounding slack) is provably the
-    /// global optimum *and* every globally-optimal path lies inside the
-    /// window, so the canonical reconstruction matches the full-grid
-    /// search bit for bit. Otherwise the margin doubles (counted into
-    /// `expansions`) until the window covers the grid, so optimality is
-    /// always retained. Because the bound charges escapes their real
-    /// congestion-laden cost up to the boundary, uniformly congested
-    /// grids — where every path is expensive but detours are pointless —
-    /// accept the first window instead of widening to the full grid.
-    #[allow(clippy::too_many_arguments)]
+    /// The search is A* inside an expanding bounding-box window: start at
+    /// the segment bbox plus [`WINDOW_MARGIN`] bins, and accept a windowed
+    /// result only when its cost beats the escape bound [`Grid::search`]
+    /// collects — the cheapest conceivable cost of any path leaving the
+    /// window (settled distance to a boundary exit, plus the crossing
+    /// edge, plus the admissible Manhattan bound home). A windowed cost
+    /// strictly below that bound (minus a relative-rounding slack) is
+    /// provably the global optimum *and* every globally-optimal path lies
+    /// inside the window, so the canonical reconstruction matches a
+    /// full-grid Dijkstra bit for bit (the tests hold it to that oracle).
+    /// Otherwise the margin doubles (counted into `expansions`) until the
+    /// window covers the grid, so optimality is always retained. Because
+    /// the bound charges escapes their real congestion-laden cost up to
+    /// the boundary, uniformly congested grids — where every path is
+    /// expensive but detours are pointless — accept the first window
+    /// instead of widening to the full grid.
     fn shortest_path(
         &self,
         src: (usize, usize),
         dst: (usize, usize),
         capacity: usize,
         penalty: f64,
-        overlay: &EdgeOverlay,
-        algorithm: RouteAlgorithm,
         expansions: &mut u64,
+    ) -> Option<Vec<(usize, usize)>> {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        let start = self.idx(src.0, src.1);
+        let goal = self.idx(dst.0, dst.1);
+        // O(1) unroutability check: a pin with every incident edge
+        // saturated can neither reach nor be reached (`src != dst` here),
+        // so skip the searches entirely. Congested flows hit this
+        // constantly — without it a sealed *goal* still costs a full
+        // exhaust of the start's component.
+        if self.pin_sealed(start, capacity, penalty) || self.pin_sealed(goal, capacity, penalty) {
+            return None;
+        }
+        let full: Window = (0, 0, self.cols - 1, self.rows - 1);
+        let (bc0, bc1) = (src.0.min(dst.0), src.0.max(dst.0));
+        let (br0, br1) = (src.1.min(dst.1), src.1.max(dst.1));
+        ROUTE_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let mut margin = WINDOW_MARGIN;
+            loop {
+                let mut window: Window = (
+                    bc0.saturating_sub(margin),
+                    br0.saturating_sub(margin),
+                    (bc1 + margin).min(self.cols - 1),
+                    (br1 + margin).min(self.rows - 1),
+                );
+                // A window that already spans most of the grid buys
+                // nothing over the conclusive full-grid search but still
+                // risks paying for both (escape rejections,
+                // unroutability probes) — snap it to the whole grid
+                // instead.
+                let area = (window.2 - window.0 + 1) * (window.3 - window.1 + 1);
+                if 2 * area >= self.cols * self.rows {
+                    window = full;
+                }
+                let covers_grid = window == full;
+                let (found, escape_min) =
+                    self.search(scratch, start, goal, capacity, penalty, window, true);
+                if covers_grid {
+                    // The window is the whole grid: the result — path or
+                    // proven unreachability — is final.
+                    found?;
+                    return self.canonical_path(scratch, start, goal, capacity, penalty, window);
+                }
+                match found {
+                    // Strictly cheaper than every escaping path (by more
+                    // than summation rounding): the windowed optimum is
+                    // the global optimum.
+                    Some(cost) if cost < escape_min - 1e-6 * (1.0 + cost) => {
+                        return self
+                            .canonical_path(scratch, start, goal, capacity, penalty, window);
+                    }
+                    // An escape could be cheaper: the optimum is nearby,
+                    // so widen geometrically.
+                    Some(_) => {
+                        *expansions += 1;
+                        margin *= 2;
+                    }
+                    // The search exhausted the window without reaching
+                    // the goal *and* no usable edge leaves the window:
+                    // the start's reachable component is sealed inside
+                    // it, so the segment is unroutable at this capacity
+                    // on the full grid too.
+                    None if escape_min.is_infinite() => return None,
+                    // No in-window path but the start's component leaks
+                    // out. Edge usability is symmetric, so exhaust the
+                    // goal's side on the full grid instead: congested
+                    // failures usually pocket the goal pin behind
+                    // saturated edges, making its reachable component far
+                    // smaller than the start's. An unreached start is
+                    // then a proof of unroutability at this capacity;
+                    // otherwise a path does exist and one conclusive
+                    // full-grid forward search settles it canonically —
+                    // no doubling ladder either way.
+                    None => {
+                        *expansions += 1;
+                        let (back, _) =
+                            self.search(scratch, goal, start, capacity, penalty, full, true);
+                        back?;
+                        margin = self.cols.max(self.rows);
+                    }
+                }
+            }
+        })
+    }
+
+    /// Full-grid Dijkstra with the same drain and canonical
+    /// reconstruction: the oracle [`Grid::shortest_path`] must match bit
+    /// for bit.
+    #[cfg(test)]
+    fn dijkstra_path(
+        &self,
+        src: (usize, usize),
+        dst: (usize, usize),
+        capacity: usize,
+        penalty: f64,
     ) -> Option<Vec<(usize, usize)>> {
         if src == dst {
             return Some(vec![src]);
@@ -808,164 +855,35 @@ impl Grid {
         let full: Window = (0, 0, self.cols - 1, self.rows - 1);
         ROUTE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            match algorithm {
-                RouteAlgorithm::DijkstraReference => {
-                    self.search(
-                        scratch, start, goal, capacity, penalty, overlay, full, false,
-                    )
-                    .0?;
-                    self.canonical_path(scratch, start, goal, capacity, penalty, overlay, full)
-                }
-                RouteAlgorithm::AStarWindow => {
-                    // O(1) unroutability check: a pin with every incident
-                    // edge saturated can neither reach nor be reached
-                    // (`src != dst` here), so skip the searches entirely.
-                    // Congested flows hit this constantly — without it a
-                    // sealed *goal* still costs a full exhaust of the
-                    // start's component. The reference arm stays a pure
-                    // full-grid Dijkstra.
-                    if self.pin_sealed(start, capacity, penalty, overlay)
-                        || self.pin_sealed(goal, capacity, penalty, overlay)
-                    {
-                        return None;
-                    }
-                    let (bc0, bc1) = (src.0.min(dst.0), src.0.max(dst.0));
-                    let (br0, br1) = (src.1.min(dst.1), src.1.max(dst.1));
-                    let mut margin = WINDOW_MARGIN;
-                    loop {
-                        let mut window: Window = (
-                            bc0.saturating_sub(margin),
-                            br0.saturating_sub(margin),
-                            (bc1 + margin).min(self.cols - 1),
-                            (br1 + margin).min(self.rows - 1),
-                        );
-                        // A window that already spans most of the grid
-                        // buys nothing over the conclusive full-grid
-                        // search but still risks paying for both (escape
-                        // rejections, unroutability probes) — snap it to
-                        // the whole grid instead.
-                        let area = (window.2 - window.0 + 1) * (window.3 - window.1 + 1);
-                        if 2 * area >= self.cols * self.rows {
-                            window = full;
-                        }
-                        let covers_grid = window == full;
-                        let (found, escape_min) = self.search(
-                            scratch, start, goal, capacity, penalty, overlay, window, true,
-                        );
-                        if covers_grid {
-                            // The window is the whole grid: the result —
-                            // path or proven unreachability — is final.
-                            found?;
-                            return self.canonical_path(
-                                scratch, start, goal, capacity, penalty, overlay, window,
-                            );
-                        }
-                        match found {
-                            // Strictly cheaper than every escaping path
-                            // (by more than summation rounding): the
-                            // windowed optimum is the global optimum.
-                            Some(cost) if cost < escape_min - 1e-6 * (1.0 + cost) => {
-                                return self.canonical_path(
-                                    scratch, start, goal, capacity, penalty, overlay, window,
-                                );
-                            }
-                            // An escape could be cheaper: the optimum is
-                            // nearby, so widen geometrically.
-                            Some(_) => {
-                                *expansions += 1;
-                                margin *= 2;
-                            }
-                            // The search exhausted the window without
-                            // reaching the goal *and* no usable edge
-                            // leaves the window: the start's reachable
-                            // component is sealed inside it, so the
-                            // segment is unroutable at this capacity on
-                            // the full grid too.
-                            None if escape_min.is_infinite() => return None,
-                            // No in-window path but the start's component
-                            // leaks out. Edge usability is symmetric, so
-                            // exhaust the goal's side on the full grid
-                            // instead: congested failures usually pocket
-                            // the goal pin behind saturated edges, making
-                            // its reachable component far smaller than
-                            // the start's. An unreached start is then a
-                            // proof of unroutability at this capacity;
-                            // otherwise a path does exist and one
-                            // conclusive full-grid forward search settles
-                            // it canonically — no doubling ladder either
-                            // way.
-                            None => {
-                                *expansions += 1;
-                                let (back, _) = self.search(
-                                    scratch, goal, start, capacity, penalty, overlay, full, true,
-                                );
-                                back?;
-                                margin = self.cols.max(self.rows);
-                            }
-                        }
-                    }
-                }
-            }
+            self.search(scratch, start, goal, capacity, penalty, full, false)
+                .0?;
+            self.canonical_path(scratch, start, goal, capacity, penalty, full)
         })
     }
 
     /// Commits a path, incrementing the usage of every traversed edge.
     fn commit(&mut self, path: &[(usize, usize)]) {
-        for seg in path.windows(2) {
-            let (c0, r0) = seg[0];
-            let (c1, r1) = seg[1];
-            if r0 == r1 {
-                let idx = self.idx(c0.min(c1), r0);
-                self.h_use[idx] += 1;
-            } else {
-                let idx = self.idx(c0, r0.min(r1));
-                self.v_use[idx] += 1;
-            }
+        for step in path.windows(2) {
+            *self.edge_use(step[0], step[1]) += 1;
         }
     }
 
-    /// Adds every edge of `path` to `overlay` — the speculative-routing
-    /// counterpart of [`Grid::commit`], letting later segments of the
-    /// same wire see earlier ones without mutating the shared grid.
-    fn accumulate(&self, path: &[(usize, usize)], overlay: &mut EdgeOverlay) {
-        for seg in path.windows(2) {
-            let (c0, r0) = seg[0];
-            let (c1, r1) = seg[1];
-            let key = if r0 == r1 {
-                (self.idx(c0.min(c1), r0), true)
-            } else {
-                (self.idx(c0, r0.min(r1)), false)
-            };
-            *overlay.entry(key).or_insert(0) += 1;
+    /// Rolls back an earlier [`Grid::commit`] of the same path.
+    fn release(&mut self, path: &[(usize, usize)]) {
+        for step in path.windows(2) {
+            *self.edge_use(step[0], step[1]) -= 1;
         }
     }
 
-    /// Re-validates a speculatively planned wire against the *current*
-    /// grid and commits it atomically. Tallies the wire's per-edge
-    /// traversals (a multi-pin net can cross the same edge more than
-    /// once) and commits only if every touched edge still fits under
-    /// `capacity`; returns `false` — leaving the grid untouched — when a
-    /// commit from earlier in the batch consumed the headroom this plan
-    /// relied on.
-    fn try_commit(&mut self, seg_paths: &[Vec<(usize, usize)>], capacity: usize) -> bool {
-        let mut deltas = EdgeOverlay::new();
-        for path in seg_paths {
-            self.accumulate(path, &mut deltas);
+    /// Usage counter of the edge between the adjacent bins `a` and `b`.
+    fn edge_use(&mut self, a: (usize, usize), b: (usize, usize)) -> &mut usize {
+        if a.1 == b.1 {
+            let idx = self.idx(a.0.min(b.0), a.1);
+            &mut self.h_use[idx]
+        } else {
+            let idx = self.idx(a.0, a.1.min(b.1));
+            &mut self.v_use[idx]
         }
-        for (&(eidx, horizontal), &delta) in &deltas {
-            let base = if horizontal {
-                self.h_use[eidx]
-            } else {
-                self.v_use[eidx]
-            };
-            if base + delta > capacity {
-                return false;
-            }
-        }
-        for path in seg_paths {
-            self.commit(path);
-        }
-        true
     }
 }
 
@@ -1200,16 +1118,15 @@ mod tests {
     }
 
     fn astar_path(grid: &Grid, src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize)> {
-        let mut exp = 0;
-        grid.shortest_path(
-            src,
-            dst,
-            8,
-            2.0,
-            &EdgeOverlay::new(),
-            RouteAlgorithm::AStarWindow,
-            &mut exp,
-        )
+        grid.shortest_path(src, dst, 8, 2.0, &mut 0).unwrap()
+    }
+
+    /// [`route`] with every segment searched by the full-grid Dijkstra
+    /// oracle instead of windowed A*.
+    fn route_dijkstra(nl: &Netlist, p: &Placement, options: &RouterOptions) -> Routing {
+        route_with(nl, p, options, |grid, src, dst, capacity, penalty, _| {
+            grid.dijkstra_path(src, dst, capacity, penalty)
+        })
         .unwrap()
     }
 
@@ -1231,18 +1148,7 @@ mod tests {
                 grid.commit(&[(c, 1), (c + 1, 1)]);
             }
         }
-        let mut exp = 0;
-        let path = grid
-            .shortest_path(
-                (0, 1),
-                (4, 1),
-                2,
-                10.0,
-                &EdgeOverlay::new(),
-                RouteAlgorithm::AStarWindow,
-                &mut exp,
-            )
-            .unwrap();
+        let path = grid.shortest_path((0, 1), (4, 1), 2, 10.0, &mut 0).unwrap();
         // The detour leaves row 1.
         assert!(
             path.iter().any(|&(_, r)| r != 1),
@@ -1251,34 +1157,41 @@ mod tests {
     }
 
     #[test]
-    fn overlay_usage_blocks_edges_like_committed_usage() {
-        // Saturating the straight corridor only in a private overlay must
-        // force the same detour as committing it to the grid.
-        let grid = Grid::new(5, 3);
-        let mut overlay = EdgeOverlay::new();
-        for c in 0..4 {
-            grid.accumulate(&[(c, 1), (c + 1, 1)], &mut overlay);
-            grid.accumulate(&[(c, 1), (c + 1, 1)], &mut overlay);
+    fn failed_wire_rolls_back_its_committed_segments() {
+        // A 3-pin wire on a grid with some prior usage: its first two
+        // segments route and commit, then the last one targets a pin whose
+        // four edges sit at the capacity. The wire must fail and leave
+        // every usage counter exactly as it was before it started.
+        let capacity = 2;
+        let mut grid = Grid::new(9, 9);
+        for c in 0..8 {
+            grid.commit(&[(c, 3), (c + 1, 3)]);
         }
-        let mut exp = 0;
-        let path = grid
-            .shortest_path(
-                (0, 1),
-                (4, 1),
-                2,
-                10.0,
-                &overlay,
-                RouteAlgorithm::AStarWindow,
-                &mut exp,
-            )
-            .unwrap();
-        assert!(
-            path.iter().any(|&(_, r)| r != 1),
-            "expected a detour, got {path:?}"
+        let sealed = (6, 6);
+        for other in [(5, 6), (7, 6), (6, 5), (6, 7)] {
+            for _ in 0..capacity {
+                grid.commit(&[sealed, other]);
+            }
+        }
+        let (h_before, v_before) = (grid.h_use.clone(), grid.v_use.clone());
+        let segments = [((1, 1), (4, 2)), ((4, 2), (2, 6)), ((2, 6), sealed)];
+        let search = Grid::shortest_path;
+        let failed = route_wire(&mut grid, segments, capacity, 2.0, search, &mut 0);
+        assert_eq!(failed, None, "the sealed pin cannot be reached");
+        assert_eq!(grid.h_use, h_before, "horizontal usage was not rolled back");
+        assert_eq!(grid.v_use, v_before, "vertical usage was not rolled back");
+        // The rollback undid real commits: on the same grid, the first two
+        // segments alone route and use edges.
+        let routed = route_wire(
+            &mut grid,
+            segments[..2].to_vec(),
+            capacity,
+            2.0,
+            search,
+            &mut 0,
         );
-        // Without the overlay the corridor is free and the path is direct.
-        let direct = astar_path(&grid, (0, 1), (4, 1));
-        assert!(direct.iter().all(|&(_, r)| r == 1));
+        assert!(routed.is_some_and(|paths| paths.iter().all(|p| p.len() > 1)));
+        assert_ne!(grid.h_use, h_before);
     }
 
     #[test]
@@ -1302,7 +1215,6 @@ mod tests {
                 }
             }
         }
-        let overlay = EdgeOverlay::new();
         for (src, dst) in [
             ((0, 0), (11, 8)),
             ((11, 0), (0, 8)),
@@ -1311,28 +1223,9 @@ mod tests {
             ((0, 4), (11, 4)),
             ((3, 0), (3, 8)),
         ] {
-            let mut exp = 0;
-            let astar = grid.shortest_path(
-                src,
-                dst,
-                4,
-                5.0,
-                &overlay,
-                RouteAlgorithm::AStarWindow,
-                &mut exp,
-            );
-            let mut exp_ref = 0;
-            let dijkstra = grid.shortest_path(
-                src,
-                dst,
-                4,
-                5.0,
-                &overlay,
-                RouteAlgorithm::DijkstraReference,
-                &mut exp_ref,
-            );
+            let astar = grid.shortest_path(src, dst, 4, 5.0, &mut 0);
+            let dijkstra = grid.dijkstra_path(src, dst, 4, 5.0);
             assert_eq!(astar, dijkstra, "paths diverged for {src:?} -> {dst:?}");
-            assert_eq!(exp_ref, 0, "the reference never expands windows");
         }
     }
 
@@ -1341,7 +1234,7 @@ mod tests {
         // Wall off the direct corridor so the only path detours far
         // outside the initial window; the windowed search must widen
         // (counting expansions) and still find the same path as the
-        // reference.
+        // oracle.
         let mut grid = Grid::new(30, 15);
         // Block the vertical edges of a wall at column 10 except row 14,
         // and the horizontal edges crossing column 10 except at row 14.
@@ -1353,31 +1246,10 @@ mod tests {
         let src = (8, 2);
         let dst = (13, 2);
         let mut exp = 0;
-        let astar = grid
-            .shortest_path(
-                src,
-                dst,
-                8,
-                2.0,
-                &EdgeOverlay::new(),
-                RouteAlgorithm::AStarWindow,
-                &mut exp,
-            )
-            .unwrap();
+        let astar = grid.shortest_path(src, dst, 8, 2.0, &mut exp).unwrap();
         assert!(exp > 0, "the detour must force a window expansion");
-        let mut exp_ref = 0;
-        let dijkstra = grid
-            .shortest_path(
-                src,
-                dst,
-                8,
-                2.0,
-                &EdgeOverlay::new(),
-                RouteAlgorithm::DijkstraReference,
-                &mut exp_ref,
-            )
-            .unwrap();
-        assert_eq!(astar, dijkstra, "expanded window diverged from reference");
+        let dijkstra = grid.dijkstra_path(src, dst, 8, 2.0).unwrap();
+        assert_eq!(astar, dijkstra, "expanded window diverged from the oracle");
         assert!(
             astar.iter().any(|&(_, r)| r >= 13),
             "path should detour around the wall, got {astar:?}"
@@ -1406,27 +1278,45 @@ mod tests {
     fn routing_is_identical_for_both_algorithms() {
         // End-to-end equivalence under congestion and capacity
         // relaxation: the full Routing structure (paths, lengths,
-        // congestion map, relaxations) must be bit-identical.
+        // congestion map, relaxations) must be bit-identical. The
+        // shared-net netlist routes multi-pin wires at capacity 1, so
+        // segments commit, fail and roll back throughout.
         let (nl, p) = placed_netlist();
-        let mut base = RouterOptions {
-            virtual_capacity: 2,
-            ..RouterOptions::default()
-        };
-        let astar = route(&nl, &p, &TechnologyModel::nm45(), &base).unwrap();
-        base.algorithm = RouteAlgorithm::DijkstraReference;
-        let dijkstra = route(&nl, &p, &TechnologyModel::nm45(), &base).unwrap();
-        assert_eq!(astar, dijkstra, "A* routing diverged from the reference");
+        let net = generators::uniform_random(30, 0.06, 5).unwrap();
+        let mapping = full_crossbar(&net, 16).unwrap();
+        let shared = Netlist::from_mapping_shared(&mapping, &TechnologyModel::nm45());
+        assert!(shared.wires.iter().any(|w| w.pins.len() > 2));
+        let shared_p = place(&shared, &PlacerOptions::fast()).unwrap();
+        for (nl, p, virtual_capacity) in [(&nl, &p, 2), (&shared, &shared_p, 1)] {
+            let options = RouterOptions {
+                virtual_capacity,
+                ..RouterOptions::default()
+            };
+            let astar = route(nl, p, &TechnologyModel::nm45(), &options).unwrap();
+            assert_eq!(
+                astar,
+                route_dijkstra(nl, p, &options),
+                "A* routing diverged from the oracle at capacity {virtual_capacity}"
+            );
+        }
     }
 
     #[test]
-    fn try_commit_rejects_paths_that_no_longer_fit() {
-        let mut grid = Grid::new(5, 3);
-        let corridor: Vec<(usize, usize)> = (0..5).map(|c| (c, 1)).collect();
-        // Capacity 2: the corridor fits twice, then re-validation fails.
-        assert!(grid.try_commit(std::slice::from_ref(&corridor), 2));
-        assert!(grid.try_commit(std::slice::from_ref(&corridor), 2));
-        assert!(!grid.try_commit(std::slice::from_ref(&corridor), 2));
-        // A rejected commit leaves the grid untouched.
-        assert_eq!(grid.h_use.iter().sum::<usize>(), 8);
+    fn windowed_astar_routes_bit_identical_to_dijkstra_on_the_flow() {
+        // The hot-path contract of the windowed A* router at flow scale:
+        // on the determinism suite's pinned design it must produce the
+        // exact Routing — every path bin, length, congestion cell — that
+        // the full-grid Dijkstra oracle produces. The window machinery
+        // (escape bounds, sealed-pin fast path, unroutability probes) is
+        // a pure work reducer, never a result changer.
+        let (nl, p) = crate::pinned_flow_design();
+        let options = RouterOptions::default();
+        let astar = route(nl, p, &TechnologyModel::nm45(), &options).unwrap();
+        assert!(!astar.routed.is_empty(), "the flow routed real wires");
+        assert_eq!(
+            astar,
+            route_dijkstra(nl, p, &options),
+            "windowed A* routing diverged from the Dijkstra oracle"
+        );
     }
 }

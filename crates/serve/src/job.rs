@@ -119,16 +119,15 @@ pub struct FlowConfig {
 }
 
 impl FlowConfig {
-    /// Builds the configuration for `(seed, max_size)`.
+    /// Builds the configuration for `(seed, max_size)`: ISC over the
+    /// crossbar sizes 16, 20, …, `max_size`.
     ///
     /// # Errors
     ///
-    /// Propagates size-set validation failures (unreachable for the
-    /// floored `16..=max(16,max_size)` range, but surfaced rather than
-    /// panicked on).
+    /// [`ServeError::Cluster`] with [`ncs_cluster::ClusterError::InvalidSizeLimit`]
+    /// unless `max_size` is one of the paper's sizes 16, 20, …, 64.
     pub fn derive(seed: u64, max_size: u32) -> Result<Self, ServeError> {
-        let max = (max_size as usize).max(16);
-        let sizes = CrossbarSizeSet::new((16..=max).step_by(4)).map_err(ServeError::Cluster)?;
+        let sizes = CrossbarSizeSet::paper_up_to(max_size as usize)?;
         Ok(FlowConfig {
             isc: IscOptions {
                 sizes,

@@ -181,7 +181,8 @@ pub struct MapSpec {
     pub net: Vec<u8>,
     /// ISC seed.
     pub seed: u64,
-    /// Largest crossbar size of the size set `16..=max(16,max_size)`.
+    /// Largest crossbar size of the size set 16, 20, …, `max_size`; one
+    /// of the paper's sizes 16, 20, …, 64, or the job fails.
     pub max_size: u32,
 }
 

@@ -239,6 +239,34 @@ fn unallocatable_network_gets_an_error_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn size_limits_outside_the_paper_sizes_get_an_error_and_the_server_keeps_answering() {
+    // ISC runs over the paper's crossbar sizes 16, 20, …, max_size, so a
+    // limit must be one of 16, 20, …, 64. Below 16, past 64, and at
+    // u32::MAX (about 1e9 sizes, were it expanded) the job fails before
+    // any work, and the connection stays usable.
+    let (mut server, addr) = start_server();
+    let mut c = client(addr);
+    for max_size in [8, 1024, u32::MAX] {
+        let err = c
+            .map(MapSpec {
+                max_size,
+                ..map_spec(SEED)
+            })
+            .expect_err("the size limit is refused");
+        match err {
+            ServeError::Remote { code: got, message } => {
+                assert_eq!(got, code::JOB);
+                assert!(message.contains(&format!("limit {max_size} ")), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        let mapping = c.map(map_spec(SEED)).expect("map after the refused one");
+        assert!(mapping.starts_with(b"NCSM"), "mapping magic");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn oversize_length_prefix_gets_an_error_then_close() {
     let (mut server, addr) = start_server();
     let mut c = client(addr);
