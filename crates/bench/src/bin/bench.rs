@@ -14,7 +14,7 @@
 //!   linalg            dense eigensolver, spectral embedding, CG minimizer
 //!   par               serial-vs-parallel speedups of the ncs-par kernels
 //!   physical_design   placement (autoncs vs fullcro) and maze routing
-//!   place             incremental detailed swap on pairwise and shared nets
+//!   place             incremental detailed swap; global placement of tb1/tb3
 //!   route             windowed A* router on placed hybrid mappings
 //!   scale             sparse-first gen→cluster→map at 2k-20k neurons
 //!   serve             flow-service cold vs warm latency over real sockets
@@ -369,10 +369,11 @@ fn route_hot_path() {
     report_artifact(&group.write_json());
 }
 
-/// Hot-path detailed-placement benches: the incremental bounding-box swap
+/// Hot-path placement benches: the incremental bounding-box swap
 /// refinement on both netlist flavors (pairwise neuron↔device wires and
 /// folded shared nets), starting from the same analytic placement each
-/// iteration. Serial medians (thread override pinned to 1).
+/// iteration, and the default `place()` on the seed-42 tb1 and tb3
+/// netlists of the flow. Serial medians (thread override pinned to 1).
 fn place_hot_path() {
     println!("[bench] place");
     ncs_par::set_thread_override(Some(1));
@@ -401,6 +402,19 @@ fn place_hot_path() {
             detailed_swap(&nl, &mut p, 8);
             p
         });
+    }
+    // The AutoNCS and FullCro netlists the flow places for tb1 and tb3.
+    let framework = AutoNcs::new();
+    for id in [1, 3] {
+        let tb = testbench(id);
+        let (autoncs, _) = framework.map(tb.network()).unwrap();
+        let fullcro = full_crossbar(tb.network(), framework.isc_options().sizes.max()).unwrap();
+        for (tag, mapping) in [("autoncs", &autoncs), ("fullcro", &fullcro)] {
+            let nl = Netlist::from_mapping(mapping, framework.technology());
+            group.bench(&format!("global/tb{id}-{tag}"), || {
+                place(&nl, &PlacerOptions::default()).unwrap()
+            });
+        }
     }
     ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());

@@ -78,9 +78,10 @@ pub struct MinimizeResult {
 /// gradient and Armijo backtracking line search.
 ///
 /// The objective closure receives the current point and a gradient buffer
-/// (same length) that it must fill; it returns the objective value. This
-/// "fused" signature lets objectives share work between the value and the
-/// gradient — the placer's WA wirelength does exactly that.
+/// (same length) that it must fill: the buffer is reused between calls,
+/// so it arrives holding an earlier gradient. It returns the objective
+/// value. This "fused" signature lets objectives share work between the
+/// value and the gradient — the placer's WA wirelength does exactly that.
 ///
 /// The solver never fails: if the line search stalls it restarts along the
 /// steepest-descent direction, and if that stalls too it stops and reports
@@ -89,6 +90,7 @@ pub struct MinimizeResult {
 /// # Panics
 ///
 /// Panics if `x0` is empty.
+// ncs-lint: hot
 pub fn minimize<F>(mut objective: F, x0: Vec<f64>, options: &CgOptions) -> MinimizeResult
 where
     F: FnMut(&[f64], &mut [f64]) -> f64,
@@ -102,6 +104,9 @@ where
     let mut grad_norm = norm(&grad);
     let mut prev_grad = grad.clone();
     let mut step_hint = options.initial_step;
+    // Line-search buffers, rebuilt from `x` and refilled by the objective.
+    let mut trial = vec![0.0; n];
+    let mut trial_grad = vec![0.0; n];
 
     let mut iterations = 0;
     while iterations < options.max_iterations {
@@ -128,8 +133,6 @@ where
         // Armijo backtracking line search.
         let mut step = step_hint;
         let mut accepted = false;
-        let mut trial = vec![0.0; n];
-        let mut trial_grad = vec![0.0; n];
         let mut trial_value = value;
         for _ in 0..options.max_backtracks {
             trial.copy_from_slice(&x);

@@ -227,6 +227,7 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
     };
 
     // Lines 2-6: escalate λ until overlap is under control.
+    let mut grad_density = vec![0.0; 2 * n];
     let mut outer = 0;
     for _ in 0..options.max_outer_iterations {
         outer += 1;
@@ -256,9 +257,9 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
                     // Density pressure known absent: pure wirelength.
                     return wl;
                 }
-                let mut gd = vec![0.0; p.len()];
-                let d = density(netlist, p, omega, Some(&mut gd[..]));
-                for (g, gd) in grad.iter_mut().zip(&gd) {
+                grad_density.fill(0.0);
+                let d = density(netlist, p, omega, Some(&mut grad_density[..]));
+                for (g, gd) in grad.iter_mut().zip(&grad_density) {
                     *g += lam * gd;
                 }
                 wl + lam * d
@@ -689,6 +690,9 @@ struct WaScratch {
 /// derivatives are left in `scratch.derivs`.
 // ncs-lint: hot
 fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64, scratch: &mut WaScratch) -> f64 {
+    if let [p, q] = *pins {
+        return wa_span_two_pin(coords[p], coords[q], gamma, &mut scratch.derivs);
+    }
     let WaScratch {
         vals,
         ep,
@@ -717,6 +721,30 @@ fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64, scratch: &mut WaScratch)
         let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
         dmax - dmin
     }));
+    wa_max - wa_min
+}
+
+/// [`wa_span`]'s n-pin formula for the pins `(a, b)` of every
+/// [`Netlist::from_mapping`] wire, with one `exp` instead of four: the
+/// extreme pins' own weights are exp(±0) = 1 and both others are
+/// exp((min − max)/γ), as −(max − min) = min − max exactly. Every other
+/// operation is the n-pin formula's, in its order.
+// ncs-lint: hot
+fn wa_span_two_pin(a: f64, b: f64, gamma: f64, derivs: &mut Vec<f64>) -> f64 {
+    let max = f64::NEG_INFINITY.max(a).max(b);
+    let min = f64::INFINITY.min(a).min(b);
+    let e = ((min - max) / gamma).exp();
+    // The max-side weights of a and b; their min-side weights swap them,
+    // so both sides' weights have the same sum.
+    let (pa, pb) = if a == max { (1.0, e) } else { (e, 1.0) };
+    let sum = pa + pb;
+    let wa_max = (a * pa + b * pb) / sum;
+    let wa_min = (a * pb + b * pa) / sum;
+    derivs.clear();
+    derivs.extend([
+        (pa / sum) * (1.0 + (a - wa_max) / gamma) - (pb / sum) * (1.0 - (a - wa_min) / gamma),
+        (pb / sum) * (1.0 + (b - wa_max) / gamma) - (pa / sum) * (1.0 - (b - wa_min) / gamma),
+    ]);
     wa_max - wa_min
 }
 
@@ -1106,14 +1134,46 @@ fn legalize_mixed_size(netlist: &Netlist, xs: &mut [f64], ys: &mut [f64], passes
         })
         .collect();
     gap_fill(
-        &macros, &smalls, &targets, &widths, &heights, xs, ys, new_bb,
+        &macros, &smalls, &targets, &widths, &heights, xs, ys, new_bb, ring_walk,
     );
+}
+
+/// The free `w × h` block nearest cell `(t_c, t_r)` of a row-major
+/// occupancy grid: walks the boundary of each ring of growing Chebyshev
+/// radius around it in row-major order, skipping the rows and columns
+/// where the block would leave the grid.
+// ncs-lint: hot
+fn ring_walk(
+    occupied: &[bool],
+    cols: usize,
+    (t_c, t_r): (isize, isize),
+    (w, h): (usize, usize),
+) -> Option<(usize, usize)> {
+    let rows = occupied.len() / cols;
+    let (c_max, r_max) = (cols as isize - w as isize, rows as isize - h as isize);
+    for ring in 0..cols.max(rows) as isize {
+        let (lo_c, hi_c, lo_r, hi_r) = (t_c - ring, t_c + ring, t_r - ring, t_r + ring);
+        for r in lo_r.max(0)..=hi_r.min(r_max) {
+            // The top and bottom rows whole; between them, the two sides.
+            let step = if r == lo_r || r == hi_r { 1 } else { 2 * ring };
+            let ring_cols = (lo_c..=hi_c).step_by(step as usize);
+            for c in ring_cols.filter(|c| (0..=c_max).contains(c)) {
+                let (c, r) = (c as usize, r as usize);
+                if (r..r + h).all(|rr| (c..c + w).all(|cc| !occupied[rr * cols + cc])) {
+                    return Some((c, r));
+                }
+            }
+        }
+    }
+    None
 }
 
 /// Places small cells at the free spot nearest their target using an
 /// occupancy grid over the macro region (with a margin so overflow can
-/// spill to the periphery instead of failing).
-#[allow(clippy::too_many_arguments)]
+/// spill to the periphery instead of failing). `search` finds each spot:
+/// [`ring_walk`], or in the tests the full-square scan it replaced.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+// ncs-lint: hot
 fn gap_fill(
     macros: &[usize],
     smalls: &[usize],
@@ -1123,6 +1183,7 @@ fn gap_fill(
     xs: &mut [f64],
     ys: &mut [f64],
     macro_bb: (f64, f64, f64, f64),
+    search: fn(&[bool], usize, (isize, isize), (usize, usize)) -> Option<(usize, usize)>,
 ) {
     let res = smalls
         .iter()
@@ -1167,39 +1228,9 @@ fn gap_fill(
         let (tx, ty) = targets[si];
         let w_cells = ((widths[id] / res).ceil() as usize).max(1);
         let h_cells = ((heights[id] / res).ceil() as usize).max(1);
-        // Spiral (ring) search for the nearest free block.
         let t_c = (((tx - origin.0) / res).round() as isize).clamp(0, cols as isize - 1);
         let t_r = (((ty - origin.1) / res).round() as isize).clamp(0, rows as isize - 1);
-        let max_ring = (cols.max(rows)) as isize;
-        let mut placed_at = None;
-        'rings: for ring in 0..max_ring {
-            let lo_c = t_c - ring;
-            let hi_c = t_c + ring;
-            let lo_r = t_r - ring;
-            let hi_r = t_r + ring;
-            for r in lo_r..=hi_r {
-                for c in lo_c..=hi_c {
-                    // Ring boundary only.
-                    if ring > 0 && r != lo_r && r != hi_r && c != lo_c && c != hi_c {
-                        continue;
-                    }
-                    if r < 0 || c < 0 {
-                        continue;
-                    }
-                    let (c, r) = (c as usize, r as usize);
-                    if c + w_cells > cols || r + h_cells > rows {
-                        continue;
-                    }
-                    let free = (r..r + h_cells)
-                        .all(|rr| (c..c + w_cells).all(|cc| !occupied[rr * cols + cc]));
-                    if free {
-                        placed_at = Some((c, r));
-                        break 'rings;
-                    }
-                }
-            }
-        }
-        let (c, r) = placed_at.unwrap_or((0, 0));
+        let (c, r) = search(&occupied, cols, (t_c, t_r), (w_cells, h_cells)).unwrap_or((0, 0));
         let x0 = origin.0 + c as f64 * res;
         let y0 = origin.1 + r as f64 * res;
         xs[id] = x0 + w_cells as f64 * res / 2.0;
@@ -1545,6 +1576,48 @@ mod tests {
             })
             .collect();
         (wa_max - wa_min, derivs)
+    }
+
+    #[test]
+    fn two_pin_wa_span_matches_the_oracle_bit_for_bit() {
+        // Every ordered pin pair over a seeded coordinate set: equal
+        // coordinates (±0 among them), a pin paired with itself, both pin
+        // orders, negative coordinates, and gaps so wide against γ that
+        // the weight exp((min − max)/γ) underflows to 0.
+        let mut rng = ncs_rng::Rng::seed_from_u64(24);
+        let mut coords = vec![0.0, -0.0, 3.5, 3.5, -120.25, 1e-300, -7.0, 5e3, -5e3];
+        coords.extend((0..24).map(|_| rng.normal(0.0, 40.0)));
+        let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
+        let mut scratch = WaScratch::default();
+        let mut underflows = 0;
+        for gamma in [0.5, 2.0, 8.0] {
+            for p in 0..coords.len() {
+                for q in 0..coords.len() {
+                    let (span, derivs) = wa_span_oracle(&[p, q], &coords, gamma);
+                    let got = wa_span(&[p, q], &coords, gamma, &mut scratch);
+                    let case = format!("pins ({}, {}) γ {gamma}", coords[p], coords[q]);
+                    assert_eq!(got.to_bits(), span.to_bits(), "span, {case}");
+                    assert_eq!(bits(&scratch.derivs), bits(&derivs), "derivs, {case}");
+                    if (-(coords[p] - coords[q]).abs() / gamma).exp() == 0.0 {
+                        underflows += 1;
+                    }
+                }
+            }
+        }
+        assert!(underflows > 0, "no pair underflowed exp");
+        // A non-finite coordinate makes both spans NaN (their bits may
+        // differ), so the CG line search rejects such a trial either way.
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 4.5];
+        for p in 0..odd.len() {
+            for q in 0..odd.len() {
+                if odd[p].is_finite() && odd[q].is_finite() {
+                    continue;
+                }
+                let (span, _) = wa_span_oracle(&[p, q], &odd, 2.0);
+                let got = wa_span(&[p, q], &odd, 2.0, &mut scratch);
+                assert!(span.is_nan() && got.is_nan(), "({}, {})", odd[p], odd[q]);
+            }
+        }
     }
 
     /// The replaced `wa_wirelength` (same chunk grid and folds, one
@@ -1909,6 +1982,129 @@ mod tests {
             p.final_overlap_um2 < 1e-6,
             "overlap {}",
             p.final_overlap_um2
+        );
+    }
+
+    /// The spiral search [`ring_walk`] replaced, kept as its oracle: it
+    /// loops over every ring's whole (2r+1)² square and skips the interior
+    /// cell by cell.
+    fn full_square_scan(
+        occupied: &[bool],
+        cols: usize,
+        (t_c, t_r): (isize, isize),
+        (w, h): (usize, usize),
+    ) -> Option<(usize, usize)> {
+        let rows = occupied.len() / cols;
+        for ring in 0..cols.max(rows) as isize {
+            let (lo_c, hi_c, lo_r, hi_r) = (t_c - ring, t_c + ring, t_r - ring, t_r + ring);
+            for r in lo_r..=hi_r {
+                for c in lo_c..=hi_c {
+                    if ring > 0 && r != lo_r && r != hi_r && c != lo_c && c != hi_c {
+                        continue;
+                    }
+                    if r < 0 || c < 0 {
+                        continue;
+                    }
+                    let (c, r) = (c as usize, r as usize);
+                    if c + w > cols || r + h > rows {
+                        continue;
+                    }
+                    if (r..r + h).all(|rr| (c..c + w).all(|cc| !occupied[rr * cols + cc])) {
+                        return Some((c, r));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn ring_walk_matches_the_full_square_scan_at_the_grid_edges() {
+        // Small seeded grids from empty to full, every target cell, and
+        // blocks up to wider or taller than the grid: the rings run off
+        // every edge and corner, where the walk skips rows and columns.
+        let mut rng = ncs_rng::Rng::seed_from_u64(5);
+        for (cols, rows) in [(1, 1), (7, 3), (5, 9), (12, 12)] {
+            for density in [0.0, 0.6, 0.95, 1.0] {
+                let occupied: Vec<bool> =
+                    (0..cols * rows).map(|_| rng.gen_f64() < density).collect();
+                let targets =
+                    (0..rows as isize).flat_map(|r| (0..cols as isize).map(move |c| (c, r)));
+                let blocks = [(1, 1), (2, 1), (1, 3), (3, 2), (cols, rows), (cols + 1, 1)];
+                for (target, block) in targets.flat_map(|t| blocks.map(|b| (t, b))) {
+                    assert_eq!(
+                        ring_walk(&occupied, cols, target, block),
+                        full_square_scan(&occupied, cols, target, block),
+                        "{cols}×{rows} grid, density {density}, target {target:?}, block {block:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_walk_places_like_the_full_square_scan() {
+        // A crowded mixed-size layout: a 4×4 block of 64- and 32-crossbar
+        // macros 0.3 µm apart, and 1,000 neurons and synapses whose
+        // targets all sit in the middle half of a macro, so their free
+        // blocks lie many rings out: beside the smaller macros at first,
+        // then in the margin around the block.
+        use ncs_tech::CellKind;
+        let tech = TechnologyModel::nm45();
+        let mut rng = ncs_rng::Rng::seed_from_u64(23);
+        let kinds: Vec<CellKind> = (0..16)
+            .map(|k| CellKind::Crossbar([64, 64, 32][k % 3]))
+            .chain((0..1000).map(|k| [CellKind::Neuron, CellKind::Synapse][k % 2]))
+            .collect();
+        let widths: Vec<f64> = kinds.iter().map(|&k| tech.dims(k).width).collect();
+        let heights: Vec<f64> = kinds.iter().map(|&k| tech.dims(k).height).collect();
+        let pitch = widths[0] + 0.3;
+        let xs: Vec<f64> = (0..kinds.len()).map(|k| (k % 4) as f64 * pitch).collect();
+        let ys: Vec<f64> = (0..kinds.len())
+            .map(|k| (k / 4 % 4) as f64 * pitch)
+            .collect();
+        let (macros, smalls): (Vec<usize>, Vec<usize>) =
+            ((0..16).collect(), (16..kinds.len()).collect());
+        let targets: Vec<(f64, f64)> = smalls
+            .iter()
+            .map(|_| {
+                let m = rng.gen_range(0..16usize);
+                let half = widths[m] / 4.0;
+                let offset = |rng: &mut ncs_rng::Rng| half * (2.0 * rng.gen_f64() - 1.0);
+                (xs[m] + offset(&mut rng), ys[m] + offset(&mut rng))
+            })
+            .collect();
+        let inf = f64::INFINITY;
+        let bb = macros.iter().fold((inf, inf, -inf, -inf), |bb, &m| {
+            let (hw, hh) = (widths[m] / 2.0, heights[m] / 2.0);
+            (
+                bb.0.min(xs[m] - hw),
+                bb.1.min(ys[m] - hh),
+                bb.2.max(xs[m] + hw),
+                bb.3.max(ys[m] + hh),
+            )
+        });
+        let fill = |search| {
+            let (mut x, mut y) = (xs.clone(), ys.clone());
+            gap_fill(
+                &macros, &smalls, &targets, &widths, &heights, &mut x, &mut y, bb, search,
+            );
+            (x, y)
+        };
+        let (ring_x, ring_y) = fill(ring_walk);
+        let (square_x, square_y) = fill(full_square_scan);
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&ring_x), bits(&square_x), "x diverged");
+        assert_eq!(bits(&ring_y), bits(&square_y), "y diverged");
+        // Chebyshev distance from target to placed centre, in 0.5 µm rings.
+        let rings = smalls
+            .iter()
+            .zip(&targets)
+            .map(|(&i, &(tx, ty))| (ring_x[i] - tx).abs().max((ring_y[i] - ty).abs()) / 0.5)
+            .fold(0.0_f64, f64::max);
+        assert!(
+            rings > 50.0,
+            "the farthest block lay only {rings} rings out"
         );
     }
 

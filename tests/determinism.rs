@@ -307,6 +307,34 @@ fn routing_is_pinned_on_the_flow() {
 }
 
 #[test]
+fn placement_is_pinned_on_the_flow() {
+    // The placer's absolute result on the pinned SEED=42 flow, under the
+    // reduced-effort and the paper-default options: FNV-1a over every
+    // cell's x, then every cell's y. Run-to-run equality cannot see a
+    // change that moves every run alike, and the routing pin sees the
+    // placement only through the bins it rounds to.
+    let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
+    for (name, framework, pinned) in [
+        ("fast", AutoNcs::fast(), 0x909a_985f_8d14_f811_u64),
+        ("new", AutoNcs::new(), 0x68c6_43b5_8c19_ecd2),
+    ] {
+        let placement = framework
+            .run(tb.network())
+            .expect("flow succeeds")
+            .design
+            .placement;
+        let mut key = placement.x;
+        key.extend_from_slice(&placement.y);
+        assert_eq!(
+            fnv1a_f64(&key),
+            pinned,
+            "the {name} placement drifted from the pinned hash: {:#018x}",
+            fnv1a_f64(&key)
+        );
+    }
+}
+
+#[test]
 fn routing_order_is_unchanged_by_the_squared_distance_comparison() {
     // The router orders wires by the distance from the placement's center
     // of gravity to each wire's closest pin; the hot path compares
