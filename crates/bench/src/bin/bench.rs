@@ -12,7 +12,6 @@
 //!   flow              end-to-end AutoNCS vs FullCro pipeline (Table 1)
 //!   hopfield          train / sparsify / recall at testbench scales
 //!   linalg            dense eigensolver, spectral embedding, CG minimizer
-//!   par               serial-vs-parallel speedups of the ncs-par kernels
 //!   physical_design   placement (autoncs vs fullcro) and maze routing
 //!   place             incremental detailed swap; global placement of tb1/tb3
 //!   route             windowed A* router on placed hybrid mappings
@@ -46,7 +45,6 @@ fn main() {
         "flow",
         "hopfield",
         "linalg",
-        "par",
         "physical_design",
         "place",
         "route",
@@ -65,7 +63,6 @@ fn main() {
             "flow" => flow(),
             "hopfield" => hopfield(),
             "linalg" => linalg(),
-            "par" => par(),
             "physical_design" => physical_design(),
             "place" => place_hot_path(),
             "route" => route_hot_path(),
@@ -250,66 +247,6 @@ fn linalg() {
     report_artifact(&group.write_json());
 }
 
-/// Serial-vs-parallel speedups of the flow's remaining `ncs-par`
-/// launches: the QL rotation replay and the CG placer's gradient folds.
-/// Each kernel is timed with the thread override pinned to 1 (the true
-/// serial code path) and at 4 workers;
-/// `results/BENCH_par.json` records both medians, the speedup factor,
-/// and `hardware_threads`. On a single-core host the factor hovers at or
-/// below 1.0 by construction — the artifact exists so multi-core CI can
-/// track the scaling of the exact same binary.
-fn par() {
-    println!("[bench] par");
-    let mut group = BenchGroup::new("par");
-    // Requested parallel thread count; the CI matrix sweeps this over
-    // {2, 4}. bench_speedup additionally caps it at the hardware, so on
-    // a 1-core runner every kernel runs its true inline path and the
-    // t<n>/t1 gate checks that the cutoff layer really costs nothing.
-    let threads = std::env::var("NCS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t > 0)
-        .unwrap_or(4);
-
-    // Dense eigensolver: n=192 clears the 128³ eigen cutoff, so the QL
-    // rotation replay fans out over its strips. The Householder
-    // reduction is serial at every size; it is timed here too, and
-    // dilutes the speedup.
-    let n = 192;
-    let mut a = DenseMatrix::zeros(n, n);
-    let mut state = 1u64;
-    for i in 0..n {
-        for j in i..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5;
-            a[(i, j)] = v;
-            a[(j, i)] = v;
-        }
-    }
-    group.bench_speedup("symmetric_eigen/192", threads, || {
-        SymmetricEigen::new(&a).unwrap()
-    });
-
-    // Placement on the same hybrid mapping the physical_design group
-    // uses: the CG placer's gradient folds fan out over their chunks.
-    let net = generators::planted_clusters(128, 4, 0.4, 0.01, SEED)
-        .unwrap()
-        .0;
-    let tech = TechnologyModel::nm45();
-    let hybrid = Isc::new(IscOptions {
-        seed: SEED,
-        ..IscOptions::default()
-    })
-    .run(&net)
-    .unwrap();
-    let nl = Netlist::from_mapping(&hybrid, &tech);
-    group.bench_speedup("placement/hybrid128", threads, || {
-        place(&nl, &PlacerOptions::fast()).unwrap()
-    });
-
-    report_artifact(&group.write_json());
-}
-
 /// Benches for the placement and routing substrate on realistic hybrid
 /// mappings.
 fn physical_design() {
@@ -341,12 +278,9 @@ fn physical_design() {
 }
 
 /// Hot-path router benches: the windowed-A* router on placed hybrid
-/// mappings of two sizes, with the thread override pinned to 1 so the
-/// medians measure the serial kernel rather than whatever parallelism the
-/// host offers.
+/// mappings of two sizes.
 fn route_hot_path() {
     println!("[bench] route");
-    ncs_par::set_thread_override(Some(1));
     let tech = TechnologyModel::nm45();
     let mut group = BenchGroup::new("route");
     for n in [192usize, 256] {
@@ -365,7 +299,6 @@ fn route_hot_path() {
             route(&nl, &p, &tech, &RouterOptions::default()).unwrap()
         });
     }
-    ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
 }
 
@@ -373,10 +306,9 @@ fn route_hot_path() {
 /// refinement on both netlist flavors (pairwise neuron↔device wires and
 /// folded shared nets), starting from the same analytic placement each
 /// iteration, and the default `place()` on the seed-42 tb1 and tb3
-/// netlists of the flow. Serial medians (thread override pinned to 1).
+/// netlists of the flow.
 fn place_hot_path() {
     println!("[bench] place");
-    ncs_par::set_thread_override(Some(1));
     let tech = TechnologyModel::nm45();
     let mut group = BenchGroup::new("place");
     let net = generators::planted_clusters(256, 8, 0.4, 0.01, SEED)
@@ -416,7 +348,6 @@ fn place_hot_path() {
             });
         }
     }
-    ncs_par::set_thread_override(None);
     report_artifact(&group.write_json());
 }
 

@@ -39,39 +39,6 @@ impl BenchResult {
     }
 }
 
-/// Serial-vs-parallel comparison for one kernel: the same closure timed
-/// with the `ncs-par` thread override pinned to 1 and to `threads`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Speedup {
-    /// Kernel name (e.g. `"matvec/600"`).
-    pub name: String,
-    /// Requested thread count of the parallel run (the baseline is
-    /// always 1).
-    pub threads: usize,
-    /// Thread count the parallel run actually used:
-    /// `threads.min(ncs_par::hardware_threads())` — the same hardware
-    /// cap a production `NCS_THREADS` request resolves through, so the
-    /// recorded factor reflects what a user would see.
-    pub effective_threads: usize,
-    /// Median wall-clock nanoseconds of the single-thread run.
-    pub serial_ns: u128,
-    /// Median wall-clock nanoseconds of the run at `effective_threads`.
-    pub parallel_ns: u128,
-}
-
-impl Speedup {
-    /// Serial median over parallel median — above 1.0 the parallel run
-    /// won. On a single-core host this hovers at or below 1.0 no matter
-    /// how good the kernel is; interpret it together with the
-    /// `hardware_threads` field of the enclosing group.
-    pub fn factor(&self) -> f64 {
-        if self.parallel_ns == 0 {
-            return 1.0;
-        }
-        self.serial_ns as f64 / self.parallel_ns as f64
-    }
-}
-
 /// Wall-clock total of one instrumented flow stage, taken from an
 /// `ncs-trace` capture outside the timed loop — so the timed medians stay
 /// on the zero-cost disabled path while the artifact still carries a
@@ -105,11 +72,10 @@ pub struct BenchGroup {
     name: String,
     warmup: usize,
     samples: usize,
-    /// Hardware threads of the host, recorded so speedup factors can be
-    /// interpreted (a 1-core container cannot show a real speedup).
+    /// Hardware threads of the host, recorded so timings can be read
+    /// against the machine that produced them.
     hardware_threads: usize,
     results: Vec<BenchResult>,
-    speedups: Vec<Speedup>,
     stages: Vec<StageTime>,
     metrics: Vec<Metric>,
 }
@@ -132,7 +98,6 @@ impl BenchGroup {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             results: Vec::new(),
-            speedups: Vec::new(),
             stages: Vec::new(),
             metrics: Vec::new(),
         }
@@ -191,47 +156,6 @@ impl BenchGroup {
         self.results.last().expect("just pushed")
     }
 
-    /// Times `f` twice — with the `ncs-par` thread override pinned to a
-    /// single worker (the true serial code path) and then at
-    /// `threads.min(hardware_threads())` — records both runs as ordinary
-    /// benches (`name/t1`, `name/t<n>`, named after the *requested*
-    /// count so artifact names stay stable across hosts) and logs a
-    /// [`Speedup`] comparing the medians. The parallel run goes through
-    /// the same hardware cap as a production `NCS_THREADS` request
-    /// (an uncapped override would measure deliberate oversubscription,
-    /// which no user-facing configuration runs). The override is always
-    /// restored afterwards.
-    pub fn bench_speedup<T>(
-        &mut self,
-        name: &str,
-        threads: usize,
-        mut f: impl FnMut() -> T,
-    ) -> &Speedup {
-        let effective = threads.max(1).min(ncs_par::hardware_threads());
-        ncs_par::set_thread_override(Some(1));
-        let serial_ns = self.bench(&format!("{name}/t1"), &mut f).median_ns;
-        ncs_par::set_thread_override(Some(effective));
-        let parallel_ns = self.bench(&format!("{name}/t{threads}"), &mut f).median_ns;
-        ncs_par::set_thread_override(None);
-        let s = Speedup {
-            name: name.to_string(),
-            threads,
-            effective_threads: effective,
-            serial_ns,
-            parallel_ns,
-        };
-        println!(
-            "  {}/{name}: {:.2}x at {} threads (effective {}, {} hardware)",
-            self.name,
-            s.factor(),
-            threads,
-            effective,
-            self.hardware_threads
-        );
-        self.speedups.push(s);
-        self.speedups.last().expect("just pushed")
-    }
-
     /// Group name.
     pub fn name(&self) -> &str {
         &self.name
@@ -240,11 +164,6 @@ impl BenchGroup {
     /// Results recorded so far.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
-    }
-
-    /// Speedup comparisons recorded so far.
-    pub fn speedups(&self) -> &[Speedup] {
-        &self.speedups
     }
 
     /// Attaches a per-stage timing breakdown (from a traced run outside
@@ -295,16 +214,11 @@ impl BenchGroup {
     ///   "benches": [
     ///     {"name": "msc/100", "samples": 10,
     ///      "median_ns": 1000, "min_ns": 900, "mean_ns": 1100}
-    ///   ],
-    ///   "speedups": [
-    ///     {"name": "matvec/600", "threads": 4, "effective_threads": 4,
-    ///      "serial_ns": 1000, "parallel_ns": 400, "speedup": 2.5}
     ///   ]
     /// }
     /// ```
     ///
-    /// The `speedups` array is present only when
-    /// [`BenchGroup::bench_speedup`] was used; a `stages` array with
+    /// A `stages` array with
     /// `{"name", "calls", "total_ns"}` entries is present only when
     /// [`BenchGroup::set_stages`] attached a traced breakdown; a
     /// `metrics` array with `{"name", "value"}` entries is present only
@@ -333,25 +247,6 @@ impl BenchGroup {
             );
         }
         out.push_str("\n  ]");
-        if !self.speedups.is_empty() {
-            out.push_str(",\n  \"speedups\": [");
-            for (i, s) in self.speedups.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n    {{\"name\": {}, \"threads\": {}, \"effective_threads\": {}, \"serial_ns\": {}, \"parallel_ns\": {}, \"speedup\": {:.4}}}",
-                    json_string(&s.name),
-                    s.threads,
-                    s.effective_threads,
-                    s.serial_ns,
-                    s.parallel_ns,
-                    s.factor()
-                );
-            }
-            out.push_str("\n  ]");
-        }
         if !self.stages.is_empty() {
             out.push_str(",\n  \"stages\": [");
             for (i, s) in self.stages.iter().enumerate() {
@@ -473,38 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_speedup_records_both_runs_and_a_factor() {
-        let mut group = BenchGroup::new("speedup_selftest").samples(3);
-        let s = group
-            .bench_speedup("spin", 4, || {
-                let mut acc = 0u64;
-                for i in 0..10_000u64 {
-                    acc = acc.wrapping_add(i * i);
-                }
-                acc
-            })
-            .clone();
-        assert_eq!(s.threads, 4);
-        assert_eq!(
-            s.effective_threads,
-            4usize.min(ncs_par::hardware_threads()),
-            "parallel run is capped at the hardware like NCS_THREADS"
-        );
-        assert!(s.factor() > 0.0);
-        // Both underlying runs landed in the ordinary results list.
-        let names: Vec<&str> = group.results().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["spin/t1", "spin/t4"]);
-        // The override was restored.
-        assert_eq!(ncs_par::thread_override(), None);
-        let json = group.to_json();
-        assert!(json.contains("\"hardware_threads\""), "{json}");
-        assert!(json.contains("\"speedups\": ["), "{json}");
-        assert!(json.contains("\"serial_ns\""), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
     fn stages_section_appears_only_when_attached() {
         let mut group = BenchGroup::new("stages_selftest").samples(1);
         group.bench("noop", || 1);
@@ -550,22 +413,5 @@ mod tests {
     fn non_finite_metrics_are_rejected() {
         let mut group = BenchGroup::new("metrics_nan").samples(1);
         group.record_metric("bad", f64::NAN);
-    }
-
-    #[test]
-    fn speedup_factor_handles_degenerate_timings() {
-        let s = Speedup {
-            name: "zero".into(),
-            threads: 4,
-            effective_threads: 4,
-            serial_ns: 100,
-            parallel_ns: 0,
-        };
-        assert!((s.factor() - 1.0).abs() < f64::EPSILON);
-        let s2 = Speedup {
-            parallel_ns: 50,
-            ..s
-        };
-        assert!((s2.factor() - 2.0).abs() < 1e-12);
     }
 }

@@ -7,7 +7,7 @@
 pub mod harness;
 pub mod memory;
 
-pub use harness::{BenchGroup, BenchResult, Metric, Speedup, StageTime};
+pub use harness::{BenchGroup, BenchResult, Metric, StageTime};
 
 use std::fs;
 use std::io::Write as _;

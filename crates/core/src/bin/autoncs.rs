@@ -20,6 +20,7 @@
 //! an error.
 
 use std::fs::File;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use autoncs::{plot, AutoNcs, CostTable};
@@ -305,11 +306,15 @@ fn cmd_implement(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `serve --batch` when the flag is absent.
+const DEFAULT_BATCH: NonZeroUsize = NonZeroUsize::new(16).unwrap();
+
 /// Parses `serve` flags and binds the daemon (split from [`cmd_serve`]
 /// so tests can start and stop a server without blocking forever).
 fn serve_bind(flags: &Flags) -> Result<autoncs::serve::Server, String> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
-    let batch_limit: usize = flags.get_parsed("batch", 16)?;
+    // A zero limit would admit no job, so it fails here as a bad value.
+    let batch_limit = flags.get_parsed("batch", DEFAULT_BATCH)?.get();
     let cache_capacity: usize = flags.get_parsed("cache-capacity", 256)?;
     let max_connections: usize = flags.get_parsed("max-conns", 0)?;
     let options = autoncs::serve::ServeOptions {
@@ -556,6 +561,21 @@ mod tests {
         match serve_bind(&flags) {
             Err(message) => assert!(message.contains("--batch"), "{message}"),
             Ok(_) => panic!("a malformed --batch value must be rejected"),
+        }
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_batch_limit() {
+        // A zero limit would admit no job, so the scheduler would spin
+        // and every request hang: it must fail before binding.
+        let args = strings(&["--batch", "0"]);
+        let flags = Flags::parse(&args).unwrap();
+        match serve_bind(&flags) {
+            Err(message) => assert!(message.contains("--batch"), "{message}"),
+            Ok(mut server) => {
+                server.shutdown();
+                panic!("--batch 0 must be rejected before binding");
+            }
         }
     }
 

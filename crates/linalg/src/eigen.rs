@@ -245,19 +245,6 @@ impl GeneralizedEigen {
 /// the result.
 const TRED2_GRAIN: usize = 32;
 
-/// Total-work floor for the `tql2` rotation replay's pool dispatch,
-/// calibrated at order 128: the replay is O(n³) over a whole solve, and
-/// below ~n=128 spawn overhead swamps the arithmetic.
-const EIGEN_MIN_WORK: usize = 128 * 128 * 128;
-
-/// The eigensolver cutoff for an order-`n` problem: `n` row-items at
-/// ~`n²` work each, spawning workers once n³ reaches
-/// [`EIGEN_MIN_WORK`]. A pure function of `n`, so the inline/dispatch
-/// decision (and its trace counters) never depends on the thread count.
-fn eigen_cutoff(n: usize) -> ncs_par::Cutoff {
-    ncs_par::Cutoff::min_work(EIGEN_MIN_WORK).work_per_item(n.saturating_mul(n))
-}
-
 /// Householder reduction of a symmetric matrix (stored in `z`) to
 /// tridiagonal form; `d` receives the diagonal, `e` the subdiagonal
 /// (`e[0]` unused), and `z` is overwritten with the accumulated orthogonal
@@ -342,9 +329,9 @@ fn tred2(z: &mut DenseMatrix, d: &mut [f64], e: &mut [f64]) {
             // g[j] = Σ_k z[i][k]·z[k][j], summed per TRED2_GRAIN-row
             // chunk of k and folded in ascending chunk order.
             g[..i].fill(0.0);
-            for chunk in ncs_par::chunk_ranges(i, TRED2_GRAIN) {
+            for start in (0..i).step_by(TRED2_GRAIN) {
                 partial[..i].fill(0.0);
-                for k in chunk {
+                for k in start..(start + TRED2_GRAIN).min(i) {
                     let uk = u[k];
                     for (s, &x) in partial[..i].iter_mut().zip(&a[k * n..k * n + i]) {
                         *s += x * uk;
@@ -406,9 +393,9 @@ fn row_dots(a: &[f64], n: usize, u: &[f64], p: &mut [f64]) {
 
 /// Rows per strip in the `tql2` rotation replay. Each rotation updates
 /// two strip-wide lane vectors of the strip's tile, so this sets the
-/// vector length of the replay's inner loop (and the workers' load
-/// balance). Every row still receives the identical rotation sequence,
-/// so the strip width cannot affect result bits.
+/// vector length of the replay's inner loop. Every row still receives
+/// the identical rotation sequence, so the strip width cannot affect
+/// result bits.
 const TQL2_STRIP_GRAIN: usize = 16;
 
 /// One strip of eigenvector rows held column-major: `tile[c][r]` is
@@ -419,17 +406,14 @@ type StripTile = Vec<[f64; TQL2_STRIP_GRAIN]>;
 /// Implicit-shift QL iteration on a tridiagonal matrix `(d, e)` with
 /// eigenvector accumulation into `z`.
 ///
-/// The scalar recurrence runs serially and logs its Givens rotations
-/// `(i, s, c)` in order, for a replay over strips of [`TQL2_STRIP_GRAIN`]
-/// rows of `z` ([`rotate_strip`]). A rotation touches each row
+/// The rows of `z` are held column-major in strips of
+/// [`TQL2_STRIP_GRAIN`] rows for the whole solve. The scalar recurrence
+/// logs each sweep's Givens rotations `(i, s, c)` in order, and every
+/// strip replays the sweep as it completes ([`rotate_strip`]), so the
+/// log never holds more than one sweep. A rotation touches each row
 /// independently (columns `i`/`i+1` of that row only), so replaying the
-/// identical sequence per row is exactly the serial arithmetic —
-/// bit-identical at any thread count and on either side of the cutoff.
-/// Above [`eigen_cutoff`] the strips replay the whole log as one pool
-/// dispatch with zero barriers, however many sweeps QL takes. Below it
-/// the strips stay column-major for the whole solve and replay each sweep
-/// as it completes, in a plain loop: no `par.*` events, and no log beyond
-/// one sweep.
+/// identical sequence per row is exactly the arithmetic of applying
+/// each rotation to every row the moment it is formed.
 pub(crate) fn tql2(
     z: &mut DenseMatrix,
     d: &mut [f64],
@@ -441,42 +425,22 @@ pub(crate) fn tql2(
     }
     let cols = z.ncols();
     let strip_len = TQL2_STRIP_GRAIN * cols;
+    let mut tiles: Vec<StripTile> = z
+        .as_slice()
+        .chunks(strip_len)
+        .map(|strip| load_strip(strip, cols))
+        .collect();
     let mut log: Vec<(usize, f64, f64)> = Vec::new();
-    // Size-only mode decision, so the trace counter stream cannot depend
-    // on the thread count.
-    if eigen_cutoff(n).engages(n) {
-        let sweeps = tql2_kernel(d, e, &mut log, |_| {})?;
-        // ncs-lint: allow(par-cutoff-discipline) — the eigen_cutoff gate
-        // above already proved n large; Cutoff::NONE keeps the replay
-        // mode decision size-only (thread-count independent).
-        ncs_par::par_chunks_mut(
-            z.as_mut_slice(),
-            strip_len,
-            ncs_par::Cutoff::NONE,
-            |_, strip| {
-                let mut tile = load_strip(strip, cols);
-                rotate_strip(&mut tile, &log);
-                store_strip(&tile, strip, cols);
-            },
-        );
-        Ok(sweeps)
-    } else {
-        let mut tiles: Vec<StripTile> = z
-            .as_slice()
-            .chunks(strip_len)
-            .map(|strip| load_strip(strip, cols))
-            .collect();
-        let sweeps = tql2_kernel(d, e, &mut log, |sweep| {
-            for tile in &mut tiles {
-                rotate_strip(tile, sweep);
-            }
-            sweep.clear();
-        })?;
-        for (strip, tile) in z.as_mut_slice().chunks_mut(strip_len).zip(&tiles) {
-            store_strip(tile, strip, cols);
+    let sweeps = tql2_kernel(d, e, &mut log, |sweep| {
+        for tile in &mut tiles {
+            rotate_strip(tile, sweep);
         }
-        Ok(sweeps)
+        sweep.clear();
+    })?;
+    for (strip, tile) in z.as_mut_slice().chunks_mut(strip_len).zip(&tiles) {
+        store_strip(tile, strip, cols);
     }
+    Ok(sweeps)
 }
 
 /// Copies a strip of whole rows of width `cols` into a [`StripTile`].
@@ -767,46 +731,9 @@ mod tests {
         a
     }
 
-    #[test]
-    fn decomposition_is_bit_identical_across_thread_counts() {
-        // The determinism contract of the parallel kernels: the exact
-        // same bits at NCS_THREADS=1 and NCS_THREADS=4. n=160 clears the
-        // 128³ eigen cutoff, so the QL replay genuinely runs multi-worker.
-        let a = random_symmetric(160);
-        let run_at = |t: usize| {
-            ncs_par::set_thread_override(Some(t));
-            let eig = SymmetricEigen::new(&a);
-            ncs_par::set_thread_override(None);
-            eig.unwrap()
-        };
-        let base = run_at(1);
-        for t in [2, 4] {
-            let other = run_at(t);
-            let value_bits = |e: &SymmetricEigen| -> Vec<u64> {
-                e.eigenvalues().iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(
-                value_bits(&base),
-                value_bits(&other),
-                "eigenvalues at t={t}"
-            );
-            let vec_bits = |e: &SymmetricEigen| -> Vec<u64> {
-                e.eigenvectors()
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert_eq!(vec_bits(&base), vec_bits(&other), "eigenvectors at t={t}");
-        }
-        // And the parallel result is still a correct decomposition.
-        assert!(residual(&a, &base) < 1e-8);
-    }
-
     /// The `tql2` the strip replay replaced, kept as its bit-exactness
     /// oracle: the same recurrence with every rotation applied to all rows
-    /// the moment it is formed (its row-by-row log replay above the
-    /// cutoff produced the same bits row for row).
+    /// the moment it is formed.
     fn tql2_oracle(
         z: &mut DenseMatrix,
         d: &mut [f64],
@@ -890,34 +817,26 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs `tql2` on `(z, d, e)` at 1 and 4 threads with the shadow
-    /// checker armed and asserts eigenvalues, eigenvectors and the sweep
-    /// count equal the oracle's bit for bit.
+    /// Runs `tql2` on `(z, d, e)` and asserts eigenvalues, eigenvectors
+    /// and the sweep count equal the oracle's bit for bit.
     fn assert_tql2_matches_oracle(z: &DenseMatrix, d: &[f64], e: &[f64]) {
         let (mut z_ref, mut d_ref, mut e_ref) = (z.clone(), d.to_vec(), e.to_vec());
         let sweeps_ref = tql2_oracle(&mut z_ref, &mut d_ref, &mut e_ref).unwrap();
-        ncs_par::set_shadow_override(Some(true));
-        for t in [1, 4] {
-            ncs_par::set_thread_override(Some(t));
-            let (mut z_new, mut d_new, mut e_new) = (z.clone(), d.to_vec(), e.to_vec());
-            let sweeps = tql2(&mut z_new, &mut d_new, &mut e_new);
-            ncs_par::set_thread_override(None);
-            let n = d.len();
-            assert_eq!(sweeps.unwrap(), sweeps_ref, "sweeps n={n} t={t}");
-            assert_eq!(bits(&d_new), bits(&d_ref), "eigenvalues n={n} t={t}");
-            assert_eq!(
-                bits(z_new.as_slice()),
-                bits(z_ref.as_slice()),
-                "eigenvectors n={n} t={t}"
-            );
-        }
-        ncs_par::set_shadow_override(None);
+        let (mut z_new, mut d_new, mut e_new) = (z.clone(), d.to_vec(), e.to_vec());
+        let sweeps = tql2(&mut z_new, &mut d_new, &mut e_new);
+        let n = d.len();
+        assert_eq!(sweeps.unwrap(), sweeps_ref, "sweeps n={n}");
+        assert_eq!(bits(&d_new), bits(&d_ref), "eigenvalues n={n}");
+        assert_eq!(
+            bits(z_new.as_slice()),
+            bits(z_ref.as_slice()),
+            "eigenvectors n={n}"
+        );
     }
 
     #[test]
     fn strip_replay_matches_the_immediate_rotation_oracle() {
-        // Below the cutoff (n³ < 128³), at it, and above it; 40, 100 and
-        // 131 are not multiples of the strip width.
+        // 40, 100 and 131 are not multiples of the strip width.
         for n in [2, 17, 40, 100, 128, 131, 160] {
             let mut z = random_symmetric(n);
             let mut d = vec![0.0; n];

@@ -158,7 +158,7 @@ impl DenseMatrix {
 
     /// Mutable view of the underlying row-major storage (rows are
     /// contiguous runs of `ncols()` elements) — the entry point for
-    /// row-partitioned parallel kernels.
+    /// kernels that work on strips of whole rows.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }

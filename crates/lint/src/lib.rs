@@ -18,8 +18,8 @@
 //! * **float-eq** — no bare `==` / `!=` against float literals outside
 //!   tests.
 //! * **no-adhoc-threads** — `thread::spawn` / `thread::scope` /
-//!   `thread::Builder` only inside `ncs-par`; everywhere else the
-//!   deterministic `par_*` primitives.
+//!   `thread::Builder` only inside `ncs-par`; everywhere else its
+//!   `par_map_queue`.
 //! * **no-adhoc-logging** — no `println!` / `eprintln!` in non-test
 //!   library code of the flow crates; diagnostics go through the
 //!   structured `ncs-trace` counters and spans (bin targets exempt).

@@ -6,9 +6,9 @@
 //! those — so `"unwrap"` in a doc example or a format string is never a
 //! finding. *Semantic* rules additionally consume the [`crate::syntax`]
 //! layer (call expressions, `use` roots, loop spans, hot functions) for
-//! invariants a flat stream cannot express: `Cutoff` discipline at
-//! `ncs_par` call sites, the crate-layering DAG, wall-clock and
-//! environment-read confinement, and allocation inside hot loops.
+//! invariants a flat stream cannot express: the crate-layering DAG,
+//! wall-clock and environment-read confinement, and allocation inside
+//! hot loops.
 //!
 //! A final meta-check, `stale-waiver`, flags `ncs-lint: allow(...)`
 //! comments that no longer suppress anything (severity warning — fails
@@ -55,15 +55,6 @@ const LOG_MACROS: &[&str] = &["println", "eprintln"];
 /// case; the narrow targets are where silent precision loss hides.)
 const NARROW_TARGETS: &[&str] = &["f32", "i8", "i16", "i32", "u8", "u16", "u32"];
 
-/// `ncs_par` entry points that take a [`Cutoff`] serial-fallback
-/// threshold as an argument.
-const PAR_PRIMITIVES: &[&str] = &[
-    "par_map",
-    "par_map_reduce",
-    "par_chunks_mut",
-    "par_map_queue",
-];
-
 /// Wall-clock types banned outside `ncs-bench` / `ncs-trace`: flow
 /// kernels that read time produce timing-dependent (nondeterministic)
 /// behavior or smuggle benchmarking into library code.
@@ -77,7 +68,6 @@ const WALLCLOCK_CRATES: &[&str] = &["bench", "trace"];
 /// reproducible from their inputs alone (bin targets are exempt).
 const ENV_ALLOWED_FILES: &[&str] = &[
     "crates/par/src/lib.rs",
-    "crates/par/src/shadow.rs",
     "crates/trace/src/lib.rs",
     "crates/bench/src/harness.rs",
 ];
@@ -93,14 +83,14 @@ const CRATE_LAYERS: &[(&str, &[&str])] = &[
     ("tech", &[]),
     ("trace", &[]),
     ("lint", &[]),
-    ("par", &["trace"]),
-    ("linalg", &["par", "trace", "rng"]),
+    ("par", &[]),
+    ("linalg", &["trace", "rng"]),
     ("net", &["linalg", "rng"]),
     ("xbar", &["linalg", "rng"]),
     ("cluster", &["linalg", "net", "rng", "trace"]),
     (
         "phys",
-        &["par", "trace", "linalg", "tech", "cluster", "net", "rng"],
+        &["trace", "linalg", "tech", "cluster", "net", "rng"],
     ),
     (
         "serve",
@@ -111,14 +101,13 @@ const CRATE_LAYERS: &[(&str, &[&str])] = &[
     (
         "core",
         &[
-            "par", "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "serve",
+            "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "serve",
         ],
     ),
     (
         "bench",
         &[
-            "par", "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "core",
-            "serve",
+            "trace", "linalg", "tech", "cluster", "net", "xbar", "rng", "phys", "core", "serve",
         ],
     ),
 ];
@@ -162,19 +151,13 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "no-adhoc-threads",
         summary: "thread::spawn/scope/Builder only inside ncs-par; everywhere \
-                  else use the deterministic par_* primitives",
+                  else use its order-preserving par_map_queue",
     },
     Rule {
         name: "no-adhoc-logging",
         summary: "no println!/eprintln! in non-test library code of the flow \
                   crates; record ncs-trace counters/spans instead (bin \
                   targets are exempt)",
-    },
-    Rule {
-        name: "par-cutoff-discipline",
-        summary: "every par_map/par_map_reduce/par_chunks_mut/par_map_queue \
-                  call site must thread a calibrated Cutoff; \
-                  a literal Cutoff::NONE needs a waiver proving an outer gate",
     },
     Rule {
         name: "no-wallclock",
@@ -184,7 +167,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "env-read-audit",
         summary: "std::env reads confined to the designated config modules \
-                  (ncs-par thread/shadow resolution, ncs-trace gating, the \
+                  (ncs-par thread resolution, ncs-trace gating, the \
                   bench harness) and bin targets",
     },
     Rule {
@@ -225,9 +208,6 @@ pub fn check_file(lexed: &LexedFile, ctx: &FileContext) -> Vec<Diagnostic> {
     // Semantic rules: consume the syntax layer.
     let syn = syntax::analyze(lexed);
     if !ctx.is_test_code {
-        if ctx.crate_name.as_deref() != Some("par") {
-            par_cutoff_discipline(&syn, lexed, ctx, &mut raw);
-        }
         if ctx.strict
             || !ctx
                 .crate_name
@@ -439,9 +419,9 @@ fn float_eq(lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
 
 /// `no-adhoc-threads`: `thread::spawn` / `thread::scope` /
 /// `thread::Builder` outside the `par` crate. Ad-hoc threads bypass the
-/// fixed-chunk, ordered-reduction contract that keeps every kernel
-/// bit-identical across `NCS_THREADS` settings — all parallelism must go
-/// through the `ncs_par` primitives. (`::` lexes as two `:` puncts.)
+/// order-preserving contract that keeps results bit-identical across
+/// `NCS_THREADS` settings — all parallelism must go through `ncs_par`.
+/// (`::` lexes as two `:` puncts.)
 fn no_adhoc_threads(lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     let toks = &lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
@@ -488,71 +468,6 @@ fn no_adhoc_logging(lexed: &LexedFile, ctx: &FileContext, out: &mut Vec<Diagnost
                 format!(
                     "{}! prints ad-hoc text from library code; record an ncs_trace counter/span or move the output into a bin target",
                     t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// `par-cutoff-discipline`: every `ncs_par` primitive call must thread
-/// a calibrated `Cutoff`. The heuristic accepts any argument mentioning
-/// the `Cutoff` type or a `*cutoff*` binding/helper; it flags a call
-/// whose arguments mention neither, and flags a literal `Cutoff::NONE`
-/// (the disable-the-fallback escape hatch) unless waived with the outer
-/// size gate spelled out.
-fn par_cutoff_discipline(
-    syn: &Syntax,
-    lexed: &LexedFile,
-    ctx: &FileContext,
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &lexed.tokens;
-    for call in &syn.calls {
-        if call.in_test {
-            continue;
-        }
-        let callee = call.path.last().map_or("", |s| s.as_str());
-        if !PAR_PRIMITIVES.contains(&callee) {
-            continue;
-        }
-        let args = &toks[call.args.0 + 1..call.args.1];
-        let has_none = args.windows(4).any(|w| {
-            w[0].kind == TokenKind::Ident
-                && w[0].text == "Cutoff"
-                && is_punct(&w[1], ":")
-                && is_punct(&w[2], ":")
-                && w[3].kind == TokenKind::Ident
-                && w[3].text == "NONE"
-        });
-        let has_cutoff = args.iter().any(|t| {
-            t.kind == TokenKind::Ident
-                && (t.text == "Cutoff" || t.text.to_ascii_lowercase().contains("cutoff"))
-        });
-        let anchor = Token {
-            kind: TokenKind::Ident,
-            text: callee.to_string(),
-            line: call.line,
-            col: call.col,
-            in_test: false,
-        };
-        if has_none {
-            out.push(diag(
-                ctx,
-                "par-cutoff-discipline",
-                &anchor,
-                format!(
-                    "{callee} passes Cutoff::NONE, disabling the serial fallback; use a \
-                     calibrated cutoff or waive with the outer size gate spelled out"
-                ),
-            ));
-        } else if !has_cutoff {
-            out.push(diag(
-                ctx,
-                "par-cutoff-discipline",
-                &anchor,
-                format!(
-                    "{callee} does not thread a Cutoff; small inputs will pay the full \
-                     parallel launch cost"
                 ),
             ));
         }
@@ -936,39 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_discipline_flags_none_and_missing() {
-        let ds = findings(
-            "fn f(xs: &[f64]) { ncs_par::par_map(xs, 4, Cutoff::NONE, |x| *x); \
-             ncs_par::par_map_reduce(xs, 4, |x| *x, 0.0, |a, b| a + b); }",
-        );
-        assert_eq!(ds.len(), 2);
-        assert!(ds.iter().all(|d| d.rule == "par-cutoff-discipline"));
-        assert!(ds[0].message.contains("Cutoff::NONE"));
-        assert!(ds[1].message.contains("does not thread a Cutoff"));
-    }
-
-    #[test]
-    fn cutoff_discipline_accepts_named_cutoffs() {
-        assert!(findings(
-            "fn f(xs: &mut [f64], cutoff: Cutoff) { \
-             ncs_par::par_chunks_mut(xs, 4, cutoff, |_, _| {}); \
-             ncs_par::par_map(xs, 4, eigen_cutoff(xs.len()), |x| *x); }",
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn par_crate_is_exempt_from_cutoff_discipline() {
-        let mut ctx = strict_ctx();
-        ctx.crate_name = Some("par".to_string());
-        let ds = check_file(
-            &lex("fn f(xs: &[f64]) { par_map(xs, 4, Cutoff::NONE, |x| *x); }"),
-            &ctx,
-        );
-        assert!(ds.iter().all(|d| d.rule != "par-cutoff-discipline"));
-    }
-
-    #[test]
     fn wallclock_banned_outside_timing_crates() {
         let ds = findings("fn f() { let t = std::time::Instant::now(); }");
         assert_eq!(ds.len(), 1);
@@ -997,7 +879,7 @@ mod tests {
     fn layering_flags_back_edges_only() {
         let mut ctx = strict_ctx();
         ctx.crate_name = Some("linalg".to_string());
-        let src = "use ncs_par::Cutoff;\nuse ncs_phys::place;\nuse std::fmt;\n";
+        let src = "use ncs_trace::span;\nuse ncs_phys::place;\nuse std::fmt;\n";
         let ds: Vec<_> = check_file(&lex(src), &ctx)
             .into_iter()
             .filter(|d| d.rule == "crate-layering")
@@ -1009,22 +891,28 @@ mod tests {
 
     #[test]
     fn layering_flags_qualified_calls_without_a_use() {
-        // Clustering makes no parallel launch: a qualified ncs_par call
-        // is a back-edge even with no `use ncs_par` in the file.
-        let mut ctx = strict_ctx();
-        ctx.crate_name = Some("cluster".to_string());
-        let src = "fn f(xs: &mut [f64], c: ncs_par::Cutoff) {\n    \
-                   ncs_par::par_chunks_mut(xs, 8, c, |_, _| ());\n    \
-                   ncs_trace::add(\"x\", 1);\n}\n";
-        let ds: Vec<_> = check_file(&lex(src), &ctx)
-            .into_iter()
-            .filter(|d| d.rule == "crate-layering")
-            .collect();
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].line, 2);
-        assert!(ds[0]
-            .message
-            .contains("crate `cluster` may not import `ncs_par`"));
+        // The flow crates make no parallel launch: a qualified ncs_par
+        // call is a back-edge even with no `use ncs_par` in the file, and
+        // a `use` is flagged on its own line.
+        let qualified = "fn f(xs: &[u64]) -> Vec<u64> {\n    \
+                         ncs_par::par_map_queue(xs, |_, &x| x)\n}\n";
+        let imported = "use ncs_par::par_map_queue;\n\
+                        fn f(xs: &[u64]) -> Vec<u64> {\n    \
+                        par_map_queue(xs, |_, &x| x)\n}\n";
+        for krate in ["cluster", "linalg", "phys"] {
+            let mut ctx = strict_ctx();
+            ctx.crate_name = Some(krate.to_string());
+            for (src, line) in [(qualified, 2), (imported, 1)] {
+                let ds: Vec<_> = check_file(&lex(src), &ctx)
+                    .into_iter()
+                    .filter(|d| d.rule == "crate-layering")
+                    .collect();
+                assert_eq!(ds.len(), 1, "{krate}: {ds:?}");
+                assert_eq!(ds[0].line, line, "{krate}");
+                let expected = format!("crate `{krate}` may not import `ncs_par`");
+                assert!(ds[0].message.contains(&expected), "{krate}: {ds:?}");
+            }
+        }
     }
 
     #[test]

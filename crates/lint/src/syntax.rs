@@ -12,7 +12,8 @@
 //! - **Functions** — every `fn` with its body span, test flag, and
 //!   whether a `// ncs-lint: hot` marker decorates it.
 //! - **Call expressions** — `path::to::callee(args)` with the full
-//!   segment path and the argument group's token span.
+//!   segment path, feeding the `crate-layering` check of qualified
+//!   calls.
 //! - **`use` declarations** — the root crate segment of every import,
 //!   feeding the `crate-layering` DAG check.
 //! - **Loop bodies** — the token span of every `for`/`while`/`loop`
@@ -128,8 +129,6 @@ pub struct Call {
     pub line: u32,
     /// 1-indexed column of the callee segment.
     pub col: u32,
-    /// Token indices of the argument group's `(` and `)`.
-    pub args: (usize, usize),
     /// Whether the call sits inside a test region.
     pub in_test: bool,
 }
@@ -547,9 +546,9 @@ fn extract_calls(tokens: &[Token], matched: &[Option<usize>]) -> Vec<Call> {
         }) {
             continue;
         }
-        let Some(close) = matched[i + 1] else {
+        if matched[i + 1].is_none() {
             continue;
-        };
+        }
         // Walk the `seg ::` chain backwards from the callee.
         let mut path = vec![t.text.clone()];
         let mut j = i;
@@ -565,7 +564,6 @@ fn extract_calls(tokens: &[Token], matched: &[Option<usize>]) -> Vec<Call> {
             path,
             line: t.line,
             col: t.col,
-            args: (i + 1, close),
             in_test: t.in_test,
         });
     }

@@ -133,20 +133,6 @@ fn golden_crate_hygiene() {
 }
 
 #[test]
-fn golden_par_cutoff_discipline() {
-    assert_eq!(
-        rendered("violations_cutoff.rs"),
-        [
-            "violations_cutoff.rs:4:14: [par-cutoff-discipline] par_chunks_mut passes \
-             Cutoff::NONE, disabling the serial fallback; use a calibrated cutoff or waive \
-             with the outer size gate spelled out",
-            "violations_cutoff.rs:8:14: [par-cutoff-discipline] par_map_reduce does not \
-             thread a Cutoff; small inputs will pay the full parallel launch cost",
-        ]
-    );
-}
-
-#[test]
 fn golden_no_wallclock() {
     assert_eq!(
         rendered("violations_wallclock.rs"),
@@ -317,7 +303,6 @@ fn cli_violation_fixtures_exit_nonzero() {
         "violations_threads.rs",
         "violations_logging.rs",
         "bad_root/src/lib.rs",
-        "violations_cutoff.rs",
         "violations_wallclock.rs",
         "violations_env.rs",
         "violations_hot_alloc.rs",

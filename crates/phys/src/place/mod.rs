@@ -601,78 +601,69 @@ fn initial_grid(netlist: &Netlist, omega: f64) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Wires per chunk of the parallel wirelength evaluation. The chunk grid
-/// is part of the numeric contract: partial sums and per-chunk gradient
-/// scratch fold in ascending chunk order on every path, so results are
-/// bit-identical at any thread count.
+/// Wires per chunk of the wirelength evaluation. The chunk grid is part
+/// of the numeric contract: each chunk's total and scratch gradient fold
+/// into the result in ascending chunk order, so this constant determines
+/// the rounding of the result.
 const WL_GRAIN: usize = 64;
 
-/// Cells per chunk of the parallel density evaluation (same contract as
+/// Cells per chunk of the density evaluation (same contract as
 /// [`WL_GRAIN`]).
 const DENSITY_GRAIN: usize = 64;
 
-/// Minimum items (wires or cells) before a gradient evaluation fans out
-/// across [`ncs_par`] workers: below a few chunks' worth, the per-chunk
-/// `2n` scratch allocations plus dispatch cost more than the math. The
-/// gradient calls sit inside every CG iteration, so small placements
-/// used to pay this dispatch thousands of times per placement.
-const GRAD_MIN_ITEMS: usize = 4 * WL_GRAIN;
+/// Folds one chunk's evaluation into the running `total` and, when a
+/// gradient is requested, into `grad`: `eval` accumulates the chunk's
+/// gradient into `scratch` (zeroed here first) and returns its total.
+/// Summing per chunk, then folding the chunks in order, is what fixes
+/// the rounding of both kernels.
+fn fold_chunk(
+    total: &mut f64,
+    grad: Option<&mut [f64]>,
+    scratch: &mut [f64],
+    eval: impl FnOnce(Option<&mut [f64]>) -> f64,
+) {
+    match grad {
+        Some(g) => {
+            scratch.fill(0.0);
+            *total += eval(Some(scratch));
+            for (slot, s) in g.iter_mut().zip(scratch.iter()) {
+                *slot += s;
+            }
+        }
+        None => *total += eval(None),
+    }
+}
 
 /// Weighted-average wirelength (Eq. 1) over all wires; optionally
 /// accumulates the gradient into `grad` (layout `[∂x..., ∂y...]`).
 ///
-/// Wire chunks fan out across the ncs-par team; each chunk scatters its
-/// gradient into private scratch, folded sequentially in chunk order.
+/// Each [`WL_GRAIN`]-wire chunk scatters its gradient into one `2n`
+/// scratch buffer, folded into `grad` in chunk order.
 // ncs-lint: hot
-fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, grad: Option<&mut [f64]>) -> f64 {
+fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, mut grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    let wires = &netlist.wires;
-    let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
-        let mut scratch = scratch;
-        let mut span_scratch = WaScratch::default();
-        let mut total = 0.0;
-        for wire in &wires[r] {
-            for (coords, offset) in [(xs, 0usize), (ys, n)] {
-                let span = wa_span(&wire.pins, coords, gamma, &mut span_scratch);
-                total += wire.weight * span;
-                if let Some(g) = scratch.as_deref_mut() {
-                    for (&pin, d) in wire.pins.iter().zip(&span_scratch.derivs) {
-                        g[offset + pin] += wire.weight * d;
+    let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
+    let mut span_scratch = WaScratch::default();
+    let mut total = 0.0;
+    for chunk in netlist.wires.chunks(WL_GRAIN) {
+        fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
+            let mut chunk_total = 0.0;
+            for wire in chunk {
+                for (coords, offset) in [(xs, 0usize), (ys, n)] {
+                    let span = wa_span(&wire.pins, coords, gamma, &mut span_scratch);
+                    chunk_total += wire.weight * span;
+                    if let Some(g) = g.as_deref_mut() {
+                        for (&pin, d) in wire.pins.iter().zip(&span_scratch.derivs) {
+                            g[offset + pin] += wire.weight * d;
+                        }
                     }
                 }
             }
-        }
-        total
-    };
-    let cutoff = ncs_par::Cutoff::min_work(GRAD_MIN_ITEMS);
-    match grad {
-        Some(g) => ncs_par::par_map_reduce(
-            wires.len(),
-            WL_GRAIN,
-            cutoff,
-            |r| {
-                let mut scratch = vec![0.0; 2 * n];
-                let t = chunk(r, Some(&mut scratch));
-                (t, scratch)
-            },
-            0.0,
-            |acc, (t, scratch)| {
-                for (slot, s) in g.iter_mut().zip(&scratch) {
-                    *slot += s;
-                }
-                acc + t
-            },
-        ),
-        None => ncs_par::par_map_reduce(
-            wires.len(),
-            WL_GRAIN,
-            cutoff,
-            |r| chunk(r, None),
-            0.0,
-            |a, t| a + t,
-        ),
+            chunk_total
+        });
     }
+    total
 }
 
 /// Per-chunk buffers of [`wa_span`], reused from wire to wire: the pin
@@ -775,70 +766,45 @@ fn bell(t: f64, w: f64) -> (f64, f64) {
 /// before they are summed, so the sums see the same terms in the same
 /// order.
 // ncs-lint: hot
-fn density(netlist: &Netlist, p: &[f64], omega: f64, grad: Option<&mut [f64]>) -> f64 {
+fn density(netlist: &Netlist, p: &[f64], omega: f64, mut grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    // Built serially (cheap and order-sensitive); the pair sweep below
-    // then fans out over outer-cell chunks, each pair charged to the
-    // chunk owning its smaller index `i`.
     let grids = PairGrids::new(netlist, xs, ys, omega);
-    let chunk = |r: std::ops::Range<usize>, scratch: Option<&mut [f64]>| -> f64 {
-        let mut scratch = scratch;
-        let mut partners = Vec::new();
-        let mut total = 0.0;
-        for cell in &netlist.cells[r] {
-            let i = cell.id;
-            grids.partners(netlist, xs, ys, omega, i, &mut partners);
-            for &(_, j) in &partners {
-                let cj = &netlist.cells[j];
-                let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
-                let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
-                let tx = xs[i] - xs[j];
-                let ty = ys[i] - ys[j];
-                let (ox, dox) = bell(tx, wx);
-                let (oy, doy) = bell(ty, wy);
-                let aij = cell.dims.area().min(cj.dims.area());
-                total += aij * ox * oy;
-                if let Some(g) = scratch.as_deref_mut() {
-                    let gx = aij * dox * tx.signum() * oy;
-                    let gy = aij * ox * doy * ty.signum();
-                    g[i] += gx;
-                    g[j] -= gx;
-                    g[n + i] += gy;
-                    g[n + j] -= gy;
+    // Each pair is charged to the [`DENSITY_GRAIN`]-cell chunk owning
+    // its smaller index `i`.
+    let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
+    let mut partners = Vec::new();
+    let mut total = 0.0;
+    for chunk in netlist.cells.chunks(DENSITY_GRAIN) {
+        fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
+            let mut chunk_total = 0.0;
+            for cell in chunk {
+                let i = cell.id;
+                grids.partners(netlist, xs, ys, omega, i, &mut partners);
+                for &(_, j) in &partners {
+                    let cj = &netlist.cells[j];
+                    let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
+                    let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
+                    let tx = xs[i] - xs[j];
+                    let ty = ys[i] - ys[j];
+                    let (ox, dox) = bell(tx, wx);
+                    let (oy, doy) = bell(ty, wy);
+                    let aij = cell.dims.area().min(cj.dims.area());
+                    chunk_total += aij * ox * oy;
+                    if let Some(g) = g.as_deref_mut() {
+                        let gx = aij * dox * tx.signum() * oy;
+                        let gy = aij * ox * doy * ty.signum();
+                        g[i] += gx;
+                        g[j] -= gx;
+                        g[n + i] += gy;
+                        g[n + j] -= gy;
+                    }
                 }
             }
-        }
-        total
-    };
-    let cutoff = ncs_par::Cutoff::min_work(GRAD_MIN_ITEMS);
-    match grad {
-        Some(g) => ncs_par::par_map_reduce(
-            n,
-            DENSITY_GRAIN,
-            cutoff,
-            |r| {
-                let mut scratch = vec![0.0; 2 * n];
-                let t = chunk(r, Some(&mut scratch));
-                (t, scratch)
-            },
-            0.0,
-            |acc, (t, scratch)| {
-                for (slot, s) in g.iter_mut().zip(&scratch) {
-                    *slot += s;
-                }
-                acc + t
-            },
-        ),
-        None => ncs_par::par_map_reduce(
-            n,
-            DENSITY_GRAIN,
-            cutoff,
-            |r| chunk(r, None),
-            0.0,
-            |a, t| a + t,
-        ),
+            chunk_total
+        });
     }
+    total
 }
 
 /// Relative slack between a grid's pitch and the largest interaction
@@ -1620,13 +1586,21 @@ mod tests {
         }
     }
 
+    /// The ranges `start..start + grain` covering `0..len`, the last one
+    /// clipped: the chunk grid of [`wa_wirelength`] and [`density`].
+    fn chunk_ranges(len: usize, grain: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        (0..len)
+            .step_by(grain)
+            .map(move |start| start..(start + grain).min(len))
+    }
+
     /// The replaced `wa_wirelength` (same chunk grid and folds, one
     /// allocating `wa_span` call per wire and axis).
     fn wa_wirelength_oracle(netlist: &Netlist, p: &[f64], gamma: f64, grad: &mut [f64]) -> f64 {
         let n = netlist.cells.len();
         let (xs, ys) = p.split_at(n);
         let mut total_all = 0.0;
-        for r in ncs_par::chunk_ranges(netlist.wires.len(), WL_GRAIN) {
+        for r in chunk_ranges(netlist.wires.len(), WL_GRAIN) {
             let mut scratch = vec![0.0; 2 * n];
             let mut total = 0.0;
             for wire in &netlist.wires[r] {
@@ -1669,7 +1643,7 @@ mod tests {
             hash.entry(key).or_default().push(cell.id);
         }
         let mut total_all = 0.0;
-        for r in ncs_par::chunk_ranges(n, DENSITY_GRAIN) {
+        for r in chunk_ranges(n, DENSITY_GRAIN) {
             let mut scratch = vec![0.0; 2 * n];
             let mut total = 0.0;
             for cell in &netlist.cells[r] {
@@ -1758,8 +1732,8 @@ mod tests {
         Netlist { cells, wires }
     }
 
-    /// Evaluates `kernel` at 1 and 4 threads with the shadow checker
-    /// armed and asserts value and gradient equal `oracle`'s bit for bit.
+    /// Evaluates `kernel` with and without a gradient and asserts value
+    /// and gradient equal `oracle`'s bit for bit.
     fn assert_matches_oracle(
         what: &str,
         p: &[f64],
@@ -1769,23 +1743,17 @@ mod tests {
         let mut grad_ref = vec![0.0; p.len()];
         let value_ref = oracle(p, &mut grad_ref);
         let bits = |g: &[f64]| -> Vec<u64> { g.iter().map(|v| v.to_bits()).collect() };
-        ncs_par::set_shadow_override(Some(true));
-        for t in [1, 4] {
-            ncs_par::set_thread_override(Some(t));
-            let mut grad = vec![0.0; p.len()];
-            let value = kernel(p, Some(&mut grad));
-            let value_only = kernel(p, None);
-            ncs_par::set_thread_override(None);
-            assert_eq!(value.to_bits(), value_ref.to_bits(), "{what} value t={t}");
-            assert_eq!(value_only.to_bits(), value_ref.to_bits(), "{what} t={t}");
-            assert_eq!(bits(&grad), bits(&grad_ref), "{what} gradient t={t}");
-        }
-        ncs_par::set_shadow_override(None);
+        let mut grad = vec![0.0; p.len()];
+        let value = kernel(p, Some(&mut grad));
+        let value_only = kernel(p, None);
+        assert_eq!(value.to_bits(), value_ref.to_bits(), "{what} value");
+        assert_eq!(value_only.to_bits(), value_ref.to_bits(), "{what}");
+        assert_eq!(bits(&grad), bits(&grad_ref), "{what} gradient");
     }
 
     #[test]
     fn wa_wirelength_matches_the_allocating_oracle() {
-        // 300 wires clear GRAD_MIN_ITEMS, so t=4 spawns workers.
+        // 40 wires fit one chunk; 300 span five, the last one short.
         for (seed, wires) in [(1, 40), (2, 300)] {
             let nl = mixed_netlist(seed, 120, wires);
             let n = nl.cells.len();

@@ -46,6 +46,14 @@ pub enum ServeError {
     },
     /// The server shut down before the job ran.
     ServerClosed,
+    /// A [`crate::ServeOptions`] field is out of range, so the server
+    /// refuses to start.
+    InvalidOption {
+        /// The offending field.
+        field: &'static str,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
     /// The server answered with a structured error frame (client side).
     Remote {
         /// Wire error code ([`crate::proto::code`]).
@@ -69,6 +77,9 @@ impl fmt::Display for ServeError {
                 message,
             } => write!(f, "i/o failure during {context} ({kind:?}): {message}"),
             ServeError::ServerClosed => write!(f, "server is shutting down"),
+            ServeError::InvalidOption { field, requirement } => {
+                write!(f, "invalid server option {field}: {requirement}")
+            }
             ServeError::Remote { code, message } => {
                 write!(f, "server reported error {code}: {message}")
             }
@@ -86,6 +97,7 @@ impl Error for ServeError {
             ServeError::Parse { .. }
             | ServeError::Io { .. }
             | ServeError::ServerClosed
+            | ServeError::InvalidOption { .. }
             | ServeError::Remote { .. } => None,
         }
     }

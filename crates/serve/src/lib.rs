@@ -9,9 +9,10 @@
 //!   hand-rolled and `std`-only. Malformed input yields structured
 //!   error frames or a clean close — never a panic or a hang.
 //! - **Scheduler** ([`sched`]): FIFO admission into bounded batches,
-//!   distinct misses computed on `ncs_par::par_map_queue`, results
-//!   delivered in request order. Hit/miss accounting is independent of
-//!   batch boundaries and thread count.
+//!   distinct misses computed on `ncs_par::par_map_queue` (the
+//!   workspace's only parallel compute: the flow itself is serial),
+//!   results delivered in request order. Hit/miss accounting is
+//!   independent of batch boundaries and thread count.
 //! - **Cache** ([`cache`]): in-memory content-addressed store keyed by
 //!   a stable 128-bit hash ([`hash`]) of the canonicalized input, the
 //!   seed and the size limit ([`job`]), with deterministic

@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
-use ncs_par::{par_map_queue, Cutoff};
+use ncs_par::par_map_queue;
 
 use crate::cache::StageCache;
 use crate::error::ServeError;
@@ -108,7 +108,9 @@ struct QueueState {
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedOptions {
-    /// Max jobs admitted into one batch.
+    /// Max jobs admitted into one batch; at least 1, or
+    /// [`Scheduler::run`] never admits a job ([`crate::Server::bind`]
+    /// rejects 0).
     pub batch_limit: usize,
     /// Cache capacity in entries.
     pub cache_capacity: usize,
@@ -220,10 +222,9 @@ impl SchedulerCore {
             .map(|(i, _)| &batch[i].0)
             .collect();
         let trace_stages = self.options.trace_stages;
-        let computed: Vec<Executed> =
-            par_map_queue(&miss_jobs, Cutoff::min_work(2), |_, prepared| {
-                job::execute(prepared, trace_stages)
-            });
+        let computed: Vec<Executed> = par_map_queue(&miss_jobs, |_, prepared| {
+            job::execute(prepared, trace_stages)
+        });
         let mut computed_of: BTreeMap<usize, (JobResult, Vec<StageRow>)> = BTreeMap::new();
         for ((lead_index, _), (result, spans)) in outcomes
             .iter()

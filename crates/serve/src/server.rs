@@ -14,7 +14,7 @@
 //! shutdown flag between attempts, so a quiescing server never waits on
 //! an idle peer. The threads here are service plumbing, not data
 //! parallelism — each carries an `ncs-lint` waiver; all *compute*
-//! parallelism stays on the `ncs_par` primitives inside the scheduler.
+//! parallelism stays on `ncs_par::par_map_queue` inside the scheduler.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,7 +33,7 @@ use crate::sched::{SchedOptions, Scheduler, SchedulerCore};
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Max jobs admitted into one scheduler batch.
+    /// Max jobs admitted into one scheduler batch; at least 1.
     pub batch_limit: usize,
     /// Stage-cache capacity in entries.
     pub cache_capacity: usize,
@@ -75,8 +75,16 @@ impl Server {
     ///
     /// # Errors
     ///
+    /// [`ServeError::InvalidOption`] for a zero `batch_limit` (the
+    /// scheduler could never admit a job), before anything is bound;
     /// [`ServeError::Io`] when the bind fails.
     pub fn bind(addr: &str, options: ServeOptions) -> Result<Server, ServeError> {
+        if options.batch_limit == 0 {
+            return Err(ServeError::InvalidOption {
+                field: "batch_limit",
+                requirement: "must be at least 1 for any job to be admitted",
+            });
+        }
         let listener = TcpListener::bind(addr).map_err(|e| ServeError::io("bind", &e))?;
         let local_addr = listener
             .local_addr()

@@ -14,21 +14,17 @@
 //! numbers are unaffected. Tracing turns on via the `NCS_TRACE`
 //! environment variable (`1`/`true`/`on`, sampled once per process) or an
 //! in-process [`set_trace_override`] — the programmatic equivalent used
-//! by tests and the bench harness, mirroring `ncs_par::set_thread_override`.
+//! by tests and the bench harness.
 //!
 //! # Determinism contract
 //!
-//! Events land in a **per-thread** sink in call order. Instrumentation in
-//! this workspace sits exclusively on *serial control paths* — never
-//! inside `ncs_par` worker closures (`ncs_par` itself emits its
-//! `par.pool_dispatches` / `par.inline_fallbacks` counters from the
-//! calling thread, and its dispatch decisions are pure functions of
-//! problem size) — so the stream a flow run produces
-//! on its calling thread is a pure function of the inputs: bit-identical
-//! across runs, across `NCS_THREADS` settings, and immune to scheduler
-//! interleaving. The golden-trace and thread-bit-identity tests in
-//! `tests/determinism.rs` pin exactly this. (An event emitted from a
-//! worker thread would go to that worker's private sink and be dropped
+//! Events land in a **per-thread** sink in call order. The flow is
+//! serial, so the stream a flow run produces on its calling thread is a
+//! pure function of the inputs: bit-identical across runs and immune to
+//! scheduler interleaving. The golden-trace test in
+//! `tests/determinism.rs` pins exactly this. (An event emitted from
+//! another thread, such as an `ncs_par::par_map_queue` worker of the
+//! serve scheduler, goes to that thread's private sink and is dropped
 //! with it — it can never corrupt the caller's stream.)
 //!
 //! Timings (`elapsed_ns`) are the one non-deterministic field; the
@@ -148,7 +144,7 @@ pub fn resolve_enabled(env_value: Option<&str>) -> bool {
 /// override that takes priority over `NCS_TRACE`.
 ///
 /// Thread-local on purpose: a test capturing a trace enables only its
-/// own thread, so concurrently running tests (and `ncs_par` workers)
+/// own thread, so concurrently running tests (and worker threads)
 /// cannot pollute the captured stream.
 pub fn set_trace_override(on: Option<bool>) {
     let v = match on {

@@ -95,56 +95,6 @@ fn placement_coordinates_are_bit_identical_for_fixed_seed() {
 }
 
 #[test]
-fn flow_is_bit_identical_across_thread_counts() {
-    // The ncs-par determinism contract, end to end: the entire flow —
-    // whose parallel launches are the eigensolver's QL rotation replay
-    // and the placer's chunk-ordered gradient folds — must produce the
-    // same bits whether the kernels run on one worker (the true serial
-    // code path) or four. The thread override is the
-    // programmatic equivalent of setting NCS_THREADS; CI additionally
-    // runs the whole suite under NCS_THREADS=1 and NCS_THREADS=4.
-    let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
-    let framework = AutoNcs::fast();
-    let run_at = |t: usize| {
-        ncs_par::set_thread_override(Some(t));
-        let r = framework.run(tb.network());
-        ncs_par::set_thread_override(None);
-        r.expect("flow succeeds")
-    };
-    let a = run_at(1);
-    let b = run_at(4);
-    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(
-        bits(&a.design.placement.x),
-        bits(&b.design.placement.x),
-        "per-cell x coordinates diverged between NCS_THREADS=1 and 4"
-    );
-    assert_eq!(
-        bits(&a.design.placement.y),
-        bits(&b.design.placement.y),
-        "per-cell y coordinates diverged between NCS_THREADS=1 and 4"
-    );
-    // Routing statistics, paths, and congestion map — Routing is PartialEq
-    // so this pins every routed bin.
-    assert_eq!(
-        a.design.routing, b.design.routing,
-        "routing diverged between NCS_THREADS=1 and 4"
-    );
-    assert_eq!(
-        a.design.cost.wirelength_um.to_bits(),
-        b.design.cost.wirelength_um.to_bits()
-    );
-    assert_eq!(
-        a.design.cost.area_um2.to_bits(),
-        b.design.cost.area_um2.to_bits()
-    );
-    assert_eq!(
-        a.design.cost.average_delay_ns.to_bits(),
-        b.design.cost.average_delay_ns.to_bits()
-    );
-}
-
-#[test]
 fn trace_event_stream_is_golden_at_the_pinned_seed() {
     // The ncs-trace determinism contract, pinned: the structured event
     // stream of the full flow — span opens/closes in program order plus
@@ -188,14 +138,6 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
             "isc.iterations",
             "isc.clusters_selected",
             "isc.connections_removed",
-            // Clustering makes no par-layer launch (the QL replay runs in
-            // its plain inline loop at this testbench size, 120³ < the
-            // 128³ floor, and records no decision), so the first cutoff
-            // decisions come from the CG placer's gradient folds. They
-            // are pure functions of the problem size, never of
-            // NCS_THREADS.
-            "par.pool_dispatches",
-            "par.inline_fallbacks",
             "place.cg_iterations",
             "route.commits",
             "route.failed",
@@ -241,29 +183,6 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
         lines,
         ncs_trace::structure(&again),
         "trace structure diverged between identically seeded runs"
-    );
-}
-
-#[test]
-fn trace_stream_is_bit_identical_across_thread_counts() {
-    // Every trace call sits on a serial control path, so the structured
-    // stream must not change when the ncs-par kernels fan out: same
-    // events, same order, same counts at NCS_THREADS=1 and 4.
-    let tb = Testbench::from_spec(spec(), SEED).expect("valid spec");
-    let framework = AutoNcs::fast();
-    let run_at = |t: usize| {
-        ncs_par::set_thread_override(Some(t));
-        let (_, events) =
-            ncs_trace::capture(|| framework.run(tb.network()).expect("flow succeeds"));
-        ncs_par::set_thread_override(None);
-        ncs_trace::structure(&events)
-    };
-    let serial = run_at(1);
-    assert!(!serial.is_empty(), "the traced flow must emit events");
-    assert_eq!(
-        serial,
-        run_at(4),
-        "trace streams diverged between NCS_THREADS=1 and 4"
     );
 }
 
@@ -399,14 +318,10 @@ fn testbench_generation_is_deterministic_for_fixed_seed() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel bit pins. The QL rotation replay carries a size-aware serial
-// cutoff (ncs_par::Cutoff): below it the strip loop runs inline on the
-// calling thread, above it the strips fan out. Its test runs both sides
-// at overrides 1 and 4 and pins the absolute bits. The CSR matvec, the
-// k-means assignment step and the Laplacian build run serially; their
-// tests (named for the size cutoffs they once straddled) pin the
-// absolute bits at one size each, so a change to a kernel's arithmetic
-// or summation order surfaces as a hash drift.
+// Kernel bit pins. Every kernel runs serially; the tests (named for the
+// size cutoffs between inline and parallel paths they once straddled)
+// pin the absolute bits, so a change to a kernel's arithmetic or
+// summation order surfaces as a hash drift.
 // ---------------------------------------------------------------------
 
 /// Deterministic pseudo-random data (same LCG the bench harness uses).
@@ -418,22 +333,6 @@ fn lcg_data(seed: u64, len: usize) -> Vec<f64> {
             ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         })
         .collect()
-}
-
-/// Runs `f` under a pinned thread override, restoring the env default
-/// after. Safe to interleave with the other override-using tests in
-/// this binary precisely because every kernel is bit-identical at any
-/// worker count — a concurrent override change can alter timing, never
-/// bits.
-fn with_thread_override<T>(t: usize, f: impl FnOnce() -> T) -> T {
-    ncs_par::set_thread_override(Some(t));
-    let r = f();
-    ncs_par::set_thread_override(None);
-    r
-}
-
-fn f64_bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|c| c.to_bits()).collect()
 }
 
 /// FNV-1a (64-bit) over the little-endian bit patterns of `v`.
@@ -458,10 +357,9 @@ fn cluster_labels(c: &ncs_cluster::Clustering) -> Vec<f64> {
 #[test]
 fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
     use ncs_linalg::{DenseMatrix, SymmetricEigen};
-    // The QL rotation replay spawns workers at n^3 >= 128^3: n = 120
-    // replays in the inline strip loop, n = 136 dispatches its strips.
-    // The hashes pin the absolute bits (eigenvalues, then the
-    // eigenvector matrix row-major) on both sides.
+    // n = 120 and n = 136 straddle the former 128³ cutoff. The hashes
+    // pin the absolute bits (eigenvalues, then the eigenvector matrix
+    // row-major).
     for (n, pinned) in [
         (120usize, 0xd93e_869e_8aca_2095_u64),
         (136, 0x1b91_e564_ad49_709a),
@@ -475,24 +373,14 @@ fn eigensolver_is_bit_identical_across_its_cutoff_boundary() {
             }
         }
         let a = DenseMatrix::from_vec(n, n, data).expect("square matrix");
-        let run = || {
-            let eig = SymmetricEigen::new(&a).expect("eigendecomposition succeeds");
-            let mut out = eig.eigenvalues().to_vec();
-            out.extend_from_slice(eig.eigenvectors().as_slice());
-            out
-        };
-        let serial = with_thread_override(1, run);
-        let pooled = with_thread_override(4, run);
+        let eig = SymmetricEigen::new(&a).expect("eigendecomposition succeeds");
+        let mut out = eig.eigenvalues().to_vec();
+        out.extend_from_slice(eig.eigenvectors().as_slice());
         assert_eq!(
-            f64_bits(&serial),
-            f64_bits(&pooled),
-            "eigensolver bits diverged across thread counts at n = {n}"
-        );
-        assert_eq!(
-            fnv1a_f64(&serial),
+            fnv1a_f64(&out),
             pinned,
             "eigensolver bits drifted from the pinned hash at n = {n}: {:#018x}",
-            fnv1a_f64(&serial)
+            fnv1a_f64(&out)
         );
     }
 }
@@ -575,35 +463,30 @@ fn sparse_lanczos_mapping_matches_the_dense_reference_on_small_networks() {
     // two-community instance (decisions verified stable across oversample
     // budgets in the ncs-cluster unit suite) the approximate Lanczos
     // pipeline and the Auto router must reproduce the dense reference
-    // mapping exactly — every crossbar, member list, and outlier — at
-    // every tested worker count.
+    // mapping exactly — every crossbar, member list, and outlier.
     let net = generators::planted_clusters(96, 2, 0.8, 0.002, 4)
         .expect("valid generator spec")
         .0;
-    let map_with = |backend: EigenBackend, t: usize| {
-        with_thread_override(t, || {
-            Isc::new(IscOptions {
-                eigensolver: backend,
-                ..IscOptions::default()
-            })
-            .run(&net)
-            .expect("mapping succeeds")
+    let map_with = |backend: EigenBackend| {
+        Isc::new(IscOptions {
+            eigensolver: backend,
+            ..IscOptions::default()
         })
+        .run(&net)
+        .expect("mapping succeeds")
     };
-    let reference = map_with(EigenBackend::Dense, 1);
+    let reference = map_with(EigenBackend::Dense);
     reference.verify_covers(&net).expect("reference covers");
-    for t in [1usize, 4] {
-        for backend in [
-            EigenBackend::Auto,
-            EigenBackend::Dense,
-            EigenBackend::Lanczos { oversample: 8 },
-        ] {
-            assert_eq!(
-                map_with(backend, t),
-                reference,
-                "{backend:?} mapping diverged from the dense reference at NCS_THREADS={t}"
-            );
-        }
+    for backend in [
+        EigenBackend::Auto,
+        EigenBackend::Dense,
+        EigenBackend::Lanczos { oversample: 8 },
+    ] {
+        assert_eq!(
+            map_with(backend),
+            reference,
+            "{backend:?} mapping diverged from the dense reference"
+        );
     }
 }
 
@@ -651,9 +534,11 @@ fn par_map_queue_preserves_item_order_across_thread_counts() {
     };
     let expected: Vec<u64> = items.iter().map(|&i| expensive(i)).collect();
     for t in [1usize, 4] {
-        let got = with_thread_override(t, || {
-            ncs_par::par_map_queue(&items, ncs_par::Cutoff::NONE, |_, &i| expensive(i))
-        });
+        // Nothing else in this binary sets the override, so pinning it
+        // here cannot race another test.
+        ncs_par::set_thread_override(Some(t));
+        let got = ncs_par::par_map_queue(&items, |_, &i| expensive(i));
+        ncs_par::set_thread_override(None);
         assert_eq!(
             got, expected,
             "par_map_queue results out of order at override {t}"
@@ -662,47 +547,11 @@ fn par_map_queue_preserves_item_order_across_thread_counts() {
 }
 
 #[test]
-fn full_flow_is_clean_under_the_shadow_access_checker() {
-    // Re-runs the end-to-end flow with the shadow-access checker armed
-    // (the same switch CI's NCS_SHADOW=1 legs flip via the env): every
-    // par_chunks_mut launch re-verifies its claim table and panics on a
-    // bad one. Enabling the checker is safe to interleave with the other
-    // tests in this binary — it only ever adds verification.
-    ncs_par::set_shadow_override(Some(true));
-    let shadowed = run_once();
-    ncs_par::set_shadow_override(None);
-    // The checker must be an observer only: bits match the unshadowed run.
-    assert_eq!(shadowed, run_once());
-}
-
-#[test]
-fn overlapping_claim_tables_are_rejected_before_launch() {
-    use ncs_par::shadow::{verify_claims, ShadowError};
-    // The exact claim table the deterministic grid would produce passes…
-    assert_eq!(verify_claims(10, &[0..4, 4..8, 8..10]), Ok(()));
-    // …while overlap, gaps, and out-of-bounds claims are each rejected.
-    assert!(matches!(
-        verify_claims(10, &[0..6, 4..10]),
-        Err(ShadowError::Overlap { .. })
-    ));
-    assert!(matches!(
-        verify_claims(10, &[0..4, 6..10]),
-        Err(ShadowError::Gap { .. })
-    ));
-    assert!(matches!(
-        verify_claims(10, &[0..4, 4..12]),
-        Err(ShadowError::OutOfBounds { .. })
-    ));
-}
-
-#[test]
 fn thread_count_zero_resolves_to_the_hardware_default() {
-    // NCS_THREADS=0 and set_thread_override(Some(0)) now share one
-    // meaning: "use the hardware default". The env side is a pure
-    // function we can pin here for several hardware widths; the
-    // override side is covered by the serialized unit tests in ncs-par
-    // (the override is process-global, so exercising it here would race
-    // with the other override-using tests in this binary).
+    // NCS_THREADS=0 and set_thread_override(Some(0)) share one meaning:
+    // "use the hardware default". The env side is a pure function we can
+    // pin here for several hardware widths; the override side is covered
+    // by the serialized unit tests in ncs-par.
     for hw in [1usize, 2, 8, 64] {
         assert_eq!(ncs_par::resolve_threads(Some("0"), hw), hw);
     }

@@ -462,6 +462,17 @@ fn serve_flat_errors_pin_display_and_wire_codes() {
     assert_eq!(e.to_string(), "server reported error 2: job failed");
     assert!(e.source().is_none());
 
+    let e = ServeError::InvalidOption {
+        field: "batch_limit",
+        requirement: "must be at least 1 for any job to be admitted",
+    };
+    assert_eq!(
+        e.to_string(),
+        "invalid server option batch_limit: must be at least 1 for any job to be admitted"
+    );
+    assert!(e.source().is_none());
+    assert_eq!(e.wire_code(), serve_code::JOB);
+
     let proto = ServeError::from(ProtoError::Oversize { len: 1 << 30 });
     assert_eq!(proto.wire_code(), serve_code::PROTOCOL);
 

@@ -488,6 +488,29 @@ fn concurrent_submission_is_bit_identical_to_serial_at_1_and_4_threads() {
 }
 
 #[test]
+fn bind_rejects_a_zero_batch_limit_before_binding() {
+    // A zero limit would leave the scheduler spinning without ever
+    // admitting a job, so every request would hang.
+    let options = ServeOptions {
+        batch_limit: 0,
+        ..ServeOptions::default()
+    };
+    match Server::bind("127.0.0.1:0", options) {
+        Err(e) => assert_eq!(
+            e,
+            ServeError::InvalidOption {
+                field: "batch_limit",
+                requirement: "must be at least 1 for any job to be admitted",
+            }
+        ),
+        Ok(mut server) => {
+            server.shutdown();
+            panic!("a zero batch limit must be rejected");
+        }
+    }
+}
+
+#[test]
 fn shutdown_is_orderly_under_load() {
     let (mut server, addr) = start_server();
     let mut c = client(addr);
