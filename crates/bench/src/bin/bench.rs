@@ -14,7 +14,7 @@
 //!   linalg            dense eigensolver, spectral embedding, CG minimizer
 //!   physical_design   placement (autoncs vs fullcro) and maze routing
 //!   place             incremental detailed swap; global placement of tb1/tb3
-//!   route             windowed A* router on placed hybrid mappings
+//!   route             maze router on planted clusters and the tb1/tb3 flow
 //!   scale             sparse-first gen→cluster→map at 2k-20k neurons
 //!   serve             flow-service cold vs warm latency over real sockets
 //!   xbar              ideal vs IR-drop crossbar evaluation
@@ -277,8 +277,9 @@ fn physical_design() {
     report_artifact(&group.write_json());
 }
 
-/// Hot-path router benches: the windowed-A* router on placed hybrid
-/// mappings of two sizes.
+/// Hot-path router benches: `route()` on placed hybrid mappings of two
+/// planted-cluster sizes, and on the seed-42 tb1 and tb3 netlists of the
+/// flow, each placed once outside the timed loop.
 fn route_hot_path() {
     println!("[bench] route");
     let tech = TechnologyModel::nm45();
@@ -295,11 +296,35 @@ fn route_hot_path() {
         .unwrap();
         let nl = Netlist::from_mapping(&hybrid, &tech);
         let p = place(&nl, &PlacerOptions::fast()).unwrap();
-        group.bench(&format!("astar_window/{n}"), || {
+        group.bench(&format!("planted/{n}"), || {
             route(&nl, &p, &tech, &RouterOptions::default()).unwrap()
         });
     }
+    let framework = AutoNcs::new();
+    let options = framework.implement_options();
+    for (name, nl) in flow_netlists(&framework) {
+        let p = place(&nl, &options.placer).unwrap();
+        group.bench(&format!("flow/{name}"), || {
+            route(&nl, &p, framework.technology(), &options.router).unwrap()
+        });
+    }
     report_artifact(&group.write_json());
+}
+
+/// The AutoNCS and FullCro netlists the flow places and routes for the
+/// seed-42 tb1 and tb3, named `tb<id>-<autoncs|fullcro>`.
+fn flow_netlists(framework: &AutoNcs) -> Vec<(String, Netlist)> {
+    let mut netlists = Vec::new();
+    for id in [1, 3] {
+        let tb = testbench(id);
+        let (autoncs, _) = framework.map(tb.network()).unwrap();
+        let fullcro = full_crossbar(tb.network(), framework.isc_options().sizes.max()).unwrap();
+        for (tag, mapping) in [("autoncs", &autoncs), ("fullcro", &fullcro)] {
+            let nl = Netlist::from_mapping(mapping, framework.technology());
+            netlists.push((format!("tb{id}-{tag}"), nl));
+        }
+    }
+    netlists
 }
 
 /// Hot-path placement benches: the incremental bounding-box swap
@@ -335,18 +360,10 @@ fn place_hot_path() {
             p
         });
     }
-    // The AutoNCS and FullCro netlists the flow places for tb1 and tb3.
-    let framework = AutoNcs::new();
-    for id in [1, 3] {
-        let tb = testbench(id);
-        let (autoncs, _) = framework.map(tb.network()).unwrap();
-        let fullcro = full_crossbar(tb.network(), framework.isc_options().sizes.max()).unwrap();
-        for (tag, mapping) in [("autoncs", &autoncs), ("fullcro", &fullcro)] {
-            let nl = Netlist::from_mapping(mapping, framework.technology());
-            group.bench(&format!("global/tb{id}-{tag}"), || {
-                place(&nl, &PlacerOptions::default()).unwrap()
-            });
-        }
+    for (name, nl) in flow_netlists(&AutoNcs::new()) {
+        group.bench(&format!("global/{name}"), || {
+            place(&nl, &PlacerOptions::default()).unwrap()
+        });
     }
     report_artifact(&group.write_json());
 }

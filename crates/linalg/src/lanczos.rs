@@ -239,7 +239,8 @@ where
         }
     }
     let mut z = DenseMatrix::identity(m);
-    tql2(&mut z, &mut d, &mut e)?;
+    let sweeps = tql2(&mut z, &mut d, &mut e)?;
+    ncs_trace::record("eigen.ql_sweeps", sweeps as u64);
 
     // Pick the k largest Ritz values.
     let mut order: Vec<usize> = (0..m).collect();
@@ -428,6 +429,22 @@ mod tests {
             lanczos_largest_seeded(dense_operator(&a), 10, 2, 0, Some(&warm)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn ritz_solve_records_its_ql_sweeps() {
+        // The Ritz problem's QL sweeps are reported like the dense
+        // solver's: one `eigen.ql_sweeps` sample per solve.
+        let a = random_symmetric(40, 11);
+        let (_, events) = ncs_trace::capture(|| lanczos_largest(dense_operator(&a), 40, 3, 4));
+        let report = ncs_trace::TraceReport::from_events(&events);
+        let sweeps = report
+            .samples
+            .iter()
+            .find(|s| s.name == "eigen.ql_sweeps")
+            .expect("the Ritz solve records its sweeps");
+        assert_eq!(sweeps.count, 1, "one Ritz solve, one sample");
+        assert!(sweeps.sum > 0, "QL needs at least one sweep");
     }
 
     #[test]

@@ -6,18 +6,22 @@ use ncs_tech::TechnologyModel;
 
 use crate::{CellId, Netlist, PhysError, Placement, WireId};
 
-/// Initial bounding-box margin (in bins) of the windowed A* search. The
-/// window doubles on every expansion, so the start value only trades the
-/// cost of the first search against the odds of a second one.
-const WINDOW_MARGIN: usize = 4;
-
 /// A segment search: `(grid, source bin, target bin, capacity, penalty,
-/// window expansions)` to the canonical optimal bin path, or `None` when
-/// no capacity-respecting path exists. [`route`] uses
-/// [`Grid::shortest_path`]; the tests substitute the full-grid Dijkstra
-/// oracle.
-type SegmentSearch =
-    fn(&Grid, (usize, usize), (usize, usize), usize, f64, &mut u64) -> Option<Vec<(usize, usize)>>;
+/// settled bins)` to the canonical optimal bin path, or `None` when no
+/// capacity-respecting path exists. The search appends the bins it
+/// settles to the settled list; when it fails, they are the closed
+/// component of one pin, which [`DeadEnds::record`] labels. [`route`]
+/// uses [`Grid::shortest_path`]; the tests substitute the full-grid
+/// Dijkstra oracle, which appends nothing and so routes without dead
+/// ends.
+type SegmentSearch = fn(
+    &Grid,
+    (usize, usize),
+    (usize, usize),
+    usize,
+    f64,
+    &mut Vec<usize>,
+) -> Option<Vec<(usize, usize)>>;
 
 /// Options for the global router.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,8 +132,9 @@ pub struct Routing {
 /// Per Section 3.5: wires are ordered by the distance from the center of
 /// gravity of all cells to their closest pin (with wire weight as the tie
 /// breaker), maze-routed one at a time on the live grid under the current
-/// capacity (windowed A*), and any wires that fail are retried after the
-/// virtual capacity is relaxed.
+/// capacity (A*), and any wires that fail are retried after the virtual
+/// capacity is relaxed. Segments that the round's dead ends prove
+/// unroutable fail without a search (see [`DeadEnds`]).
 ///
 /// Multi-pin wires are decomposed into a Manhattan minimum spanning tree
 /// over their pins and each tree edge is maze-routed in turn (the default
@@ -232,11 +237,11 @@ fn route_with(
     });
 
     let mut grid = Grid::new(cols, rows);
+    let mut dead_ends = DeadEnds::new(cols * rows);
     let mut routed: Vec<Option<RoutedWire>> = vec![None; netlist.wires.len()];
     let mut pending: Vec<WireId> = order;
     let mut capacity = options.virtual_capacity;
     let mut relaxations = 0;
-    let mut window_expansions = 0u64;
 
     loop {
         let mut failed = Vec::new();
@@ -250,7 +255,7 @@ fn route_with(
                 capacity,
                 options.congestion_penalty,
                 shortest_path,
-                &mut window_expansions,
+                &mut dead_ends,
             ) else {
                 failed.push(wid);
                 continue;
@@ -277,8 +282,10 @@ fn route_with(
                 relaxations: relaxations - 1,
             });
         }
-        // Relax the virtual capacity and retry only the failed wires.
+        // Relax the virtual capacity and retry only the failed wires. The
+        // wider edges can join components, so the dead ends start over.
         capacity = capacity.saturating_mul(2).max(capacity + 1);
+        dead_ends.relax();
         pending = failed;
     }
 
@@ -294,7 +301,7 @@ fn route_with(
             relaxations,
         });
     }
-    ncs_trace::add("route.window_expansions", window_expansions);
+    ncs_trace::add("route.dead_end_hits", dead_ends.hits);
     ncs_trace::record("route.relaxations", relaxations as u64);
     let routed: Vec<RoutedWire> = routed.into_iter().flatten().collect();
     let total = routed.iter().map(|r| r.length_um).sum();
@@ -320,27 +327,105 @@ fn route_with(
 /// Routes one wire's segments (`(source bin, target bin)` pairs) in turn
 /// on the live grid, committing each path as soon as it is found. When a
 /// segment has no capacity-respecting path, the wire's committed segments
-/// roll back, so `None` leaves the grid exactly as it was.
+/// roll back, so `None` leaves the grid exactly as it was. A segment that
+/// `dead_ends` separates fails without a search.
 fn route_wire(
     grid: &mut Grid,
     segments: impl IntoIterator<Item = ((usize, usize), (usize, usize))>,
     capacity: usize,
     penalty: f64,
     shortest_path: SegmentSearch,
-    expansions: &mut u64,
+    dead_ends: &mut DeadEnds,
 ) -> Option<Vec<Vec<(usize, usize)>>> {
     let mut seg_paths: Vec<Vec<(usize, usize)>> = Vec::new();
     for (src, dst) in segments {
-        let Some(path) = shortest_path(grid, src, dst, capacity, penalty, expansions) else {
-            for path in &seg_paths {
-                grid.release(path);
+        if dead_ends.separates(grid.idx(src.0, src.1), grid.idx(dst.0, dst.1)) {
+            dead_ends.hits += 1;
+        } else {
+            dead_ends.settled.clear();
+            if let Some(path) =
+                shortest_path(grid, src, dst, capacity, penalty, &mut dead_ends.settled)
+            {
+                grid.commit(&path);
+                seg_paths.push(path);
+                continue;
             }
-            return None;
-        };
-        grid.commit(&path);
-        seg_paths.push(path);
+            // With nothing of this wire committed, the grid is the one at
+            // a wire boundary, and the failed search settled a whole
+            // component of it. A later segment's component would include
+            // edges that the rollback below frees, so it is not recorded.
+            if seg_paths.is_empty() {
+                dead_ends.record();
+            }
+        }
+        for path in &seg_paths {
+            grid.release(path);
+        }
+        return None;
     }
     Some(seg_paths)
+}
+
+/// The dead ends of the current capacity round: one label per grid bin,
+/// marking components of the routing graph that failed searches exhausted.
+///
+/// A segment search that fails before its wire has committed anything
+/// settles the whole component of one pin (a sealed pin alone, or all
+/// that the start reaches), and [`DeadEnds::record`] gives those bins a
+/// fresh label. Within a round, usage at wire boundaries only grows (a
+/// wire either commits, or rolls back to the grid it started from), so
+/// components only split: a later component that meets an earlier
+/// labelled set lies inside it. A pin with a current label therefore has
+/// no path to a pin without that label until the capacity changes, and
+/// [`DeadEnds::separates`] answers such a segment without a search. A
+/// relaxation starts a new round; labels below its base are stale.
+struct DeadEnds {
+    /// Label of each bin.
+    label: Vec<u32>,
+    /// First label of the current round.
+    base: u32,
+    /// Next fresh label.
+    next: u32,
+    /// Bins the last segment search settled.
+    settled: Vec<usize>,
+    /// Segment searches answered without searching.
+    hits: u64,
+}
+
+impl DeadEnds {
+    fn new(bins: usize) -> Self {
+        DeadEnds {
+            label: vec![0; bins],
+            base: 1,
+            next: 1,
+            settled: Vec::new(),
+            hits: 0,
+        }
+    }
+
+    /// Starts a new capacity round: every earlier label goes stale.
+    fn relax(&mut self) {
+        self.base = self.next;
+    }
+
+    /// True when bins `a` and `b` lie in different dead ends, or only one
+    /// of them lies in a dead end, so no path joins them this round.
+    fn separates(&self, a: usize, b: usize) -> bool {
+        let current = |bin: usize| Some(self.label[bin]).filter(|&l| l >= self.base);
+        current(a) != current(b)
+    }
+
+    /// Labels the bins the last (failed) search settled as a dead end.
+    fn record(&mut self) {
+        // Out of labels: record nothing more, which only costs searches.
+        let Some(next) = self.next.checked_add(1) else {
+            return;
+        };
+        for &bin in &self.settled {
+            self.label[bin] = self.next;
+        }
+        self.next = next;
+    }
 }
 
 /// Prim's minimum spanning tree over a wire's pins in the Manhattan
@@ -386,13 +471,13 @@ fn mst_segments(pins: &[CellId], placement: &Placement) -> Vec<(CellId, CellId)>
     segments
 }
 
-/// Persistent per-worker scratch for the maze search. The arrays cover
-/// the full grid but are *epoch-stamped*: bumping `epoch` invalidates
-/// every entry in O(1), so no per-segment reallocation or clearing ever
-/// happens — a node's `dist`/`closed` state is only meaningful where
+/// Persistent scratch for the maze search. The arrays cover the full
+/// grid but are *epoch-stamped*: bumping `epoch` invalidates every entry
+/// in O(1), so no per-segment reallocation or clearing ever happens — a
+/// node's `dist`/`closed` state is only meaningful where
 /// `stamp[node] == epoch`. One arena lives in a thread-local and is
 /// reused across segments, wires and `route()` calls; it grows
-/// monotonically to the largest grid seen by its thread.
+/// monotonically to the largest grid routed on its thread.
 struct RouteScratch {
     epoch: u32,
     stamp: Vec<u32>,
@@ -446,8 +531,13 @@ thread_local! {
     static ROUTE_SCRATCH: RefCell<RouteScratch> = RefCell::new(RouteScratch::new());
 }
 
+/// A move out of a grid node: `(destination node, its column, its row,
+/// edge key)`, where the edge key is the index of the bin that owns the
+/// edge plus a horizontal flag.
+type Move = (usize, usize, usize, usize, bool);
+
 /// The routing grid: horizontal/vertical edge usage counters plus a
-/// capacity-respecting shortest-path search (windowed A*; full-grid
+/// capacity-respecting shortest-path search (full-grid A*; full-grid
 /// Dijkstra is the tests' oracle).
 struct Grid {
     cols: usize,
@@ -457,9 +547,6 @@ struct Grid {
     /// Usage of the edge above each bin.
     v_use: Vec<usize>,
 }
-
-/// Inclusive bin window `(c0, r0, c1, r1)` a search is confined to.
-type Window = (usize, usize, usize, usize);
 
 impl Grid {
     fn new(cols: usize, rows: usize) -> Self {
@@ -514,57 +601,48 @@ impl Grid {
                     .is_none())
     }
 
-    /// The four candidate moves out of `node`, clipped to `window`, each
-    /// carrying its edge key (index of the owning bin + horizontal flag)
-    /// and destination node. The order — +x, −x, +y, −y — is fixed; the
-    /// canonical path reconstruction relies on it.
+    /// The in-grid moves out of `node`. The order — +x, −x, +y, −y — is
+    /// fixed; the canonical path reconstruction relies on it.
     #[inline]
-    fn moves(&self, node: usize, window: Window) -> ([(usize, usize, bool); 4], usize) {
-        let (c0, r0, c1, r1) = window;
+    fn moves(&self, node: usize) -> ([Move; 4], usize) {
         let c = node % self.cols;
         let r = node / self.cols;
-        let mut out = [(0usize, 0usize, false); 4];
+        let mut out: [Move; 4] = [(0, 0, 0, 0, false); 4];
         let mut count = 0;
-        if c < c1 {
-            out[count] = (node + 1, node, true);
+        if c + 1 < self.cols {
+            out[count] = (node + 1, c + 1, r, node, true);
             count += 1;
         }
-        if c > c0 {
-            out[count] = (node - 1, node - 1, true);
+        if c > 0 {
+            out[count] = (node - 1, c - 1, r, node - 1, true);
             count += 1;
         }
-        if r < r1 {
-            out[count] = (node + self.cols, node, false);
+        if r + 1 < self.rows {
+            out[count] = (node + self.cols, c, r + 1, node, false);
             count += 1;
         }
-        if r > r0 {
-            out[count] = (node - self.cols, node - self.cols, false);
+        if r > 0 {
+            out[count] = (node - self.cols, c, r - 1, node - self.cols, false);
             count += 1;
         }
         (out, count)
     }
 
-    /// Settles the shortest-path tree from `start` towards `goal` inside
-    /// `window`, writing `dist`/`closed` into `scratch`. With
-    /// `heuristic = true` this is A* under the admissible and consistent
-    /// Manhattan heuristic (every edge costs at least 1); with `false` it
-    /// is plain Dijkstra. Either way the loop does **not** stop at the
-    /// first goal pop: it keeps draining until the heap's best f-value
-    /// exceeds the goal cost (plus a relative-rounding slack), so every
-    /// node that could sit on *any* optimal path is settled with its
-    /// final distance. That drain is what lets
-    /// [`Grid::canonical_path`] reconstruct the same optimal path
-    /// regardless of which search produced the tree.
+    /// Settles the shortest-path tree from `start` towards `goal` over the
+    /// whole grid, writing `dist`/`closed` into `scratch` and appending
+    /// every settled node to `settled`. With `heuristic = true` this is A*
+    /// under the admissible and consistent Manhattan heuristic (every edge
+    /// costs at least 1); with `false` it is plain Dijkstra. Either way the
+    /// loop does **not** stop at the first goal pop: it keeps draining
+    /// until the heap's best f-value exceeds the goal cost (plus a
+    /// relative-rounding slack), so every node that could sit on *any*
+    /// optimal path is settled with its final distance. That drain is
+    /// what lets [`Grid::canonical_path`] reconstruct the same optimal
+    /// path regardless of which search produced the tree.
     ///
-    /// Returns `(goal cost, escape bound)`: the goal cost is `None` when
-    /// the goal is unreachable within the window, and the escape bound is
-    /// the cheapest conceivable cost of any path that *leaves* the window
-    /// — for every settled node with a usable edge crossing the window
-    /// boundary, `dist + crossing edge + Manhattan-from-outside` is a
-    /// lower bound on every path escaping there first, and paths escaping
-    /// through unsettled nodes are already costlier than the goal.
-    /// `f64::INFINITY` when no usable edge leaves the window (in
-    /// particular whenever the window covers the whole grid).
+    /// Returns the goal cost, or `None` when the goal is unreachable; the
+    /// search then drained the heap, so `settled` is the whole component
+    /// of `start`.
     #[allow(clippy::too_many_arguments)]
     // ncs-lint: hot
     fn search(
@@ -574,28 +652,24 @@ impl Grid {
         goal: usize,
         capacity: usize,
         penalty: f64,
-        window: Window,
         heuristic: bool,
-    ) -> (Option<f64>, f64) {
+        settled: &mut Vec<usize>,
+    ) -> Option<f64> {
         scratch.begin(self.cols * self.rows);
         let (gc, gr) = (goal % self.cols, goal / self.cols);
-        let h = |node: usize| -> f64 {
+        let h = |c: usize, r: usize| -> f64 {
             if heuristic {
-                let c = node % self.cols;
-                let r = node / self.cols;
                 (c.abs_diff(gc) + r.abs_diff(gr)) as f64
             } else {
                 0.0
             }
         };
-        let (c0, r0, c1, r1) = window;
         scratch.set_dist(start, 0.0);
         scratch.heap.push(HeapNode {
-            cost: h(start),
+            cost: h(start % self.cols, start / self.cols),
             node: start,
         });
         let mut best: Option<f64> = None;
-        let mut escape_min = f64::INFINITY;
         while let Some(HeapNode { cost, node }) = scratch.heap.pop() {
             if let Some(g_star) = best {
                 // Goal settled: keep settling ties (nodes whose f equals
@@ -608,66 +682,30 @@ impl Grid {
                 continue;
             }
             scratch.closed[node] = true;
+            settled.push(node);
             if node == goal {
                 best = Some(scratch.dist[node]);
                 continue;
             }
             let g = scratch.dist[node];
-            let c = node % self.cols;
-            let r = node / self.cols;
-            // In-grid moves in the fixed +x, −x, +y, −y order; `inside`
-            // marks the ones that stay within the window. Expanded nodes
-            // are always inside, so a move is outside exactly when it
-            // crosses the window boundary. Candidate coordinates ride
-            // along so the heuristic needs no divisions on this hot path.
-            let mut cand = [(0usize, 0usize, 0usize, 0usize, false, false); 4];
-            let mut count = 0;
-            if c + 1 < self.cols {
-                cand[count] = (node + 1, c + 1, r, node, true, c < c1);
-                count += 1;
-            }
-            if c > 0 {
-                cand[count] = (node - 1, c - 1, r, node - 1, true, c > c0);
-                count += 1;
-            }
-            if r + 1 < self.rows {
-                cand[count] = (node + self.cols, c, r + 1, node, false, r < r1);
-                count += 1;
-            }
-            if r > 0 {
-                cand[count] = (node - self.cols, c, r - 1, node - self.cols, false, r > r0);
-                count += 1;
-            }
-            for &(nn, nc, nr, eidx, horizontal, inside) in &cand[..count] {
+            // Candidate coordinates ride along so the heuristic needs no
+            // divisions on this hot path.
+            let (moves, count) = self.moves(node);
+            for &(nn, nc, nr, eidx, horizontal) in &moves[..count] {
                 let Some(edge) = self.edge_cost(eidx, horizontal, capacity, penalty) else {
                     continue;
                 };
-                let hn = if heuristic {
-                    (nc.abs_diff(gc) + nr.abs_diff(gr)) as f64
-                } else {
-                    0.0
-                };
-                if !inside {
-                    // Any path escaping the window here first pays its way
-                    // to this node, then the crossing edge, then at least
-                    // the Manhattan distance back to the goal.
-                    let esc = g + edge + hn;
-                    if esc < escape_min {
-                        escape_min = esc;
-                    }
-                    continue;
-                }
                 let nd = g + edge;
                 if !scratch.is_set(nn) || nd < scratch.dist[nn] {
                     scratch.set_dist(nn, nd);
                     scratch.heap.push(HeapNode {
-                        cost: nd + hn,
+                        cost: nd + h(nc, nr),
                         node: nn,
                     });
                 }
             }
         }
-        (best, escape_min)
+        best
     }
 
     /// Reconstructs the canonical optimal path from a settled search
@@ -686,7 +724,6 @@ impl Grid {
         goal: usize,
         capacity: usize,
         penalty: f64,
-        window: Window,
     ) -> Option<Vec<(usize, usize)>> {
         let mut path = vec![(goal % self.cols, goal / self.cols)];
         let mut node = goal;
@@ -699,8 +736,8 @@ impl Grid {
                 return Some(path);
             }
             let mut pick: Option<(f64, usize)> = None;
-            let (moves, count) = self.moves(node, window);
-            for &(u, eidx, horizontal) in &moves[..count] {
+            let (moves, count) = self.moves(node);
+            for &(u, _, _, eidx, horizontal) in &moves[..count] {
                 if !scratch.is_set(u) || !scratch.closed[u] {
                     continue;
                 }
@@ -722,33 +759,24 @@ impl Grid {
     }
 
     /// Capacity-aware shortest path from `src` to `dst` (see
-    /// [`Grid::edge_cost`] for the cost model). Returns `None` when no
+    /// [`Grid::edge_cost`] for the cost model), appending the bins the
+    /// search settles to `settled`. Returns `None` when no
     /// capacity-respecting path exists — the caller then relaxes the
-    /// virtual capacity and reroutes, per Section 3.5.
+    /// virtual capacity and reroutes, per Section 3.5. `settled` then
+    /// holds the closed component of one pin: a sealed pin alone, or
+    /// everything the search reached from `src`.
     ///
-    /// The search is A* inside an expanding bounding-box window: start at
-    /// the segment bbox plus [`WINDOW_MARGIN`] bins, and accept a windowed
-    /// result only when its cost beats the escape bound [`Grid::search`]
-    /// collects — the cheapest conceivable cost of any path leaving the
-    /// window (settled distance to a boundary exit, plus the crossing
-    /// edge, plus the admissible Manhattan bound home). A windowed cost
-    /// strictly below that bound (minus a relative-rounding slack) is
-    /// provably the global optimum *and* every globally-optimal path lies
-    /// inside the window, so the canonical reconstruction matches a
-    /// full-grid Dijkstra bit for bit (the tests hold it to that oracle).
-    /// Otherwise the margin doubles (counted into `expansions`) until the
-    /// window covers the grid, so optimality is always retained. Because
-    /// the bound charges escapes their real congestion-laden cost up to
-    /// the boundary, uniformly congested grids — where every path is
-    /// expensive but detours are pointless — accept the first window
-    /// instead of widening to the full grid.
+    /// One full-grid A* with the drain of [`Grid::search`], then
+    /// [`Grid::canonical_path`]: the tests hold the result to the
+    /// full-grid Dijkstra oracle bit for bit. Most failures never get
+    /// here — the router answers them from its [`DeadEnds`].
     fn shortest_path(
         &self,
         src: (usize, usize),
         dst: (usize, usize),
         capacity: usize,
         penalty: f64,
-        expansions: &mut u64,
+        settled: &mut Vec<usize>,
     ) -> Option<Vec<(usize, usize)>> {
         if src == dst {
             return Some(vec![src]);
@@ -757,82 +785,19 @@ impl Grid {
         let goal = self.idx(dst.0, dst.1);
         // O(1) unroutability check: a pin with every incident edge
         // saturated can neither reach nor be reached (`src != dst` here),
-        // so skip the searches entirely. Congested flows hit this
-        // constantly — without it a sealed *goal* still costs a full
-        // exhaust of the start's component.
-        if self.pin_sealed(start, capacity, penalty) || self.pin_sealed(goal, capacity, penalty) {
-            return None;
+        // so skip the search entirely — a sealed *goal* would otherwise
+        // cost a full exhaust of the start's component. The sealed pin is
+        // a whole component on its own.
+        for pin in [start, goal] {
+            if self.pin_sealed(pin, capacity, penalty) {
+                settled.push(pin);
+                return None;
+            }
         }
-        let full: Window = (0, 0, self.cols - 1, self.rows - 1);
-        let (bc0, bc1) = (src.0.min(dst.0), src.0.max(dst.0));
-        let (br0, br1) = (src.1.min(dst.1), src.1.max(dst.1));
         ROUTE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let mut margin = WINDOW_MARGIN;
-            loop {
-                let mut window: Window = (
-                    bc0.saturating_sub(margin),
-                    br0.saturating_sub(margin),
-                    (bc1 + margin).min(self.cols - 1),
-                    (br1 + margin).min(self.rows - 1),
-                );
-                // A window that already spans most of the grid buys
-                // nothing over the conclusive full-grid search but still
-                // risks paying for both (escape rejections,
-                // unroutability probes) — snap it to the whole grid
-                // instead.
-                let area = (window.2 - window.0 + 1) * (window.3 - window.1 + 1);
-                if 2 * area >= self.cols * self.rows {
-                    window = full;
-                }
-                let covers_grid = window == full;
-                let (found, escape_min) =
-                    self.search(scratch, start, goal, capacity, penalty, window, true);
-                if covers_grid {
-                    // The window is the whole grid: the result — path or
-                    // proven unreachability — is final.
-                    found?;
-                    return self.canonical_path(scratch, start, goal, capacity, penalty, window);
-                }
-                match found {
-                    // Strictly cheaper than every escaping path (by more
-                    // than summation rounding): the windowed optimum is
-                    // the global optimum.
-                    Some(cost) if cost < escape_min - 1e-6 * (1.0 + cost) => {
-                        return self
-                            .canonical_path(scratch, start, goal, capacity, penalty, window);
-                    }
-                    // An escape could be cheaper: the optimum is nearby,
-                    // so widen geometrically.
-                    Some(_) => {
-                        *expansions += 1;
-                        margin *= 2;
-                    }
-                    // The search exhausted the window without reaching
-                    // the goal *and* no usable edge leaves the window:
-                    // the start's reachable component is sealed inside
-                    // it, so the segment is unroutable at this capacity
-                    // on the full grid too.
-                    None if escape_min.is_infinite() => return None,
-                    // No in-window path but the start's component leaks
-                    // out. Edge usability is symmetric, so exhaust the
-                    // goal's side on the full grid instead: congested
-                    // failures usually pocket the goal pin behind
-                    // saturated edges, making its reachable component far
-                    // smaller than the start's. An unreached start is
-                    // then a proof of unroutability at this capacity;
-                    // otherwise a path does exist and one conclusive
-                    // full-grid forward search settles it canonically —
-                    // no doubling ladder either way.
-                    None => {
-                        *expansions += 1;
-                        let (back, _) =
-                            self.search(scratch, goal, start, capacity, penalty, full, true);
-                        back?;
-                        margin = self.cols.max(self.rows);
-                    }
-                }
-            }
+            self.search(scratch, start, goal, capacity, penalty, true, settled)?;
+            self.canonical_path(scratch, start, goal, capacity, penalty)
         })
     }
 
@@ -852,12 +817,18 @@ impl Grid {
         }
         let start = self.idx(src.0, src.1);
         let goal = self.idx(dst.0, dst.1);
-        let full: Window = (0, 0, self.cols - 1, self.rows - 1);
         ROUTE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            self.search(scratch, start, goal, capacity, penalty, full, false)
-                .0?;
-            self.canonical_path(scratch, start, goal, capacity, penalty, full)
+            self.search(
+                scratch,
+                start,
+                goal,
+                capacity,
+                penalty,
+                false,
+                &mut Vec::new(),
+            )?;
+            self.canonical_path(scratch, start, goal, capacity, penalty)
         })
     }
 
@@ -1118,16 +1089,39 @@ mod tests {
     }
 
     fn astar_path(grid: &Grid, src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize)> {
-        grid.shortest_path(src, dst, 8, 2.0, &mut 0).unwrap()
+        grid.shortest_path(src, dst, 8, 2.0, &mut Vec::new())
+            .unwrap()
     }
 
     /// [`route`] with every segment searched by the full-grid Dijkstra
-    /// oracle instead of windowed A*.
+    /// oracle instead of A*. The oracle reports no settled bins, so no
+    /// dead end is ever recorded: every failure is a real search.
     fn route_dijkstra(nl: &Netlist, p: &Placement, options: &RouterOptions) -> Routing {
         route_with(nl, p, options, |grid, src, dst, capacity, penalty, _| {
             grid.dijkstra_path(src, dst, capacity, penalty)
         })
         .unwrap()
+    }
+
+    thread_local! {
+        static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// [`Grid::shortest_path`], counting its calls on this thread.
+    fn counted_search(
+        grid: &Grid,
+        src: (usize, usize),
+        dst: (usize, usize),
+        capacity: usize,
+        penalty: f64,
+        settled: &mut Vec<usize>,
+    ) -> Option<Vec<(usize, usize)>> {
+        SEARCHES.with(|n| n.set(n.get() + 1));
+        grid.shortest_path(src, dst, capacity, penalty, settled)
+    }
+
+    fn searches() -> usize {
+        SEARCHES.with(std::cell::Cell::get)
     }
 
     #[test]
@@ -1148,7 +1142,9 @@ mod tests {
                 grid.commit(&[(c, 1), (c + 1, 1)]);
             }
         }
-        let path = grid.shortest_path((0, 1), (4, 1), 2, 10.0, &mut 0).unwrap();
+        let path = grid
+            .shortest_path((0, 1), (4, 1), 2, 10.0, &mut Vec::new())
+            .unwrap();
         // The detour leaves row 1.
         assert!(
             path.iter().any(|&(_, r)| r != 1),
@@ -1176,7 +1172,8 @@ mod tests {
         let (h_before, v_before) = (grid.h_use.clone(), grid.v_use.clone());
         let segments = [((1, 1), (4, 2)), ((4, 2), (2, 6)), ((2, 6), sealed)];
         let search = Grid::shortest_path;
-        let failed = route_wire(&mut grid, segments, capacity, 2.0, search, &mut 0);
+        let mut dead_ends = DeadEnds::new(9 * 9);
+        let failed = route_wire(&mut grid, segments, capacity, 2.0, search, &mut dead_ends);
         assert_eq!(failed, None, "the sealed pin cannot be reached");
         assert_eq!(grid.h_use, h_before, "horizontal usage was not rolled back");
         assert_eq!(grid.v_use, v_before, "vertical usage was not rolled back");
@@ -1188,7 +1185,7 @@ mod tests {
             capacity,
             2.0,
             search,
-            &mut 0,
+            &mut dead_ends,
         );
         assert!(routed.is_some_and(|paths| paths.iter().all(|p| p.len() > 1)));
         assert_ne!(grid.h_use, h_before);
@@ -1223,7 +1220,7 @@ mod tests {
             ((0, 4), (11, 4)),
             ((3, 0), (3, 8)),
         ] {
-            let astar = grid.shortest_path(src, dst, 4, 5.0, &mut 0);
+            let astar = grid.shortest_path(src, dst, 4, 5.0, &mut Vec::new());
             let dijkstra = grid.dijkstra_path(src, dst, 4, 5.0);
             assert_eq!(astar, dijkstra, "paths diverged for {src:?} -> {dst:?}");
         }
@@ -1232,9 +1229,8 @@ mod tests {
     #[test]
     fn window_expands_when_congestion_forces_long_detours() {
         // Wall off the direct corridor so the only path detours far
-        // outside the initial window; the windowed search must widen
-        // (counting expansions) and still find the same path as the
-        // oracle.
+        // outside the segment's bounding box; the search must still find
+        // the same path as the oracle.
         let mut grid = Grid::new(30, 15);
         // Block the vertical edges of a wall at column 10 except row 14,
         // and the horizontal edges crossing column 10 except at row 14.
@@ -1245,11 +1241,11 @@ mod tests {
         }
         let src = (8, 2);
         let dst = (13, 2);
-        let mut exp = 0;
-        let astar = grid.shortest_path(src, dst, 8, 2.0, &mut exp).unwrap();
-        assert!(exp > 0, "the detour must force a window expansion");
+        let astar = grid
+            .shortest_path(src, dst, 8, 2.0, &mut Vec::new())
+            .unwrap();
         let dijkstra = grid.dijkstra_path(src, dst, 8, 2.0).unwrap();
-        assert_eq!(astar, dijkstra, "expanded window diverged from the oracle");
+        assert_eq!(astar, dijkstra, "the long detour diverged from the oracle");
         assert!(
             astar.iter().any(|&(_, r)| r >= 13),
             "path should detour around the wall, got {astar:?}"
@@ -1278,8 +1274,9 @@ mod tests {
     fn routing_is_identical_for_both_algorithms() {
         // End-to-end equivalence under congestion and capacity
         // relaxation: the full Routing structure (paths, lengths,
-        // congestion map, relaxations) must be bit-identical. The
-        // shared-net netlist routes multi-pin wires at capacity 1, so
+        // congestion map, relaxations) of A* with dead ends must be
+        // bit-identical to the oracle's, which searches every segment.
+        // The shared-net netlist routes multi-pin wires at capacity 1, so
         // segments commit, fail and roll back throughout.
         let (nl, p) = placed_netlist();
         let net = generators::uniform_random(30, 0.06, 5).unwrap();
@@ -1302,13 +1299,13 @@ mod tests {
     }
 
     #[test]
-    fn windowed_astar_routes_bit_identical_to_dijkstra_on_the_flow() {
-        // The hot-path contract of the windowed A* router at flow scale:
-        // on the determinism suite's pinned design it must produce the
-        // exact Routing — every path bin, length, congestion cell — that
-        // the full-grid Dijkstra oracle produces. The window machinery
-        // (escape bounds, sealed-pin fast path, unroutability probes) is
-        // a pure work reducer, never a result changer.
+    fn astar_routes_bit_identical_to_dijkstra_on_the_flow() {
+        // The hot-path contract of the router at flow scale: on the
+        // determinism suite's pinned design it must produce the exact
+        // Routing — every path bin, length, congestion cell — that the
+        // full-grid Dijkstra oracle produces without dead ends. The
+        // sealed-pin check and the dead ends are pure work reducers,
+        // never result changers.
         let (nl, p) = crate::pinned_flow_design();
         let options = RouterOptions::default();
         let astar = route(nl, p, &TechnologyModel::nm45(), &options).unwrap();
@@ -1316,7 +1313,114 @@ mod tests {
         assert_eq!(
             astar,
             route_dijkstra(nl, p, &options),
-            "windowed A* routing diverged from the Dijkstra oracle"
+            "A* routing diverged from the Dijkstra oracle"
         );
+    }
+
+    /// An edge between two adjacent bins.
+    type Edge = ((usize, usize), (usize, usize));
+
+    /// The eight boundary edges of a 2 × 2 pocket at columns 6–7, rows
+    /// 3–4, of a 10 × 8 grid, as `(inside, outside)` bins.
+    const POCKET_WALL: [Edge; 8] = [
+        ((6, 3), (5, 3)),
+        ((6, 4), (5, 4)),
+        ((7, 3), (8, 3)),
+        ((7, 4), (8, 4)),
+        ((6, 3), (6, 2)),
+        ((7, 3), (7, 2)),
+        ((6, 4), (6, 5)),
+        ((7, 4), (7, 5)),
+    ];
+
+    /// A 10 × 8 grid whose `wall` edges each carry `load` wires. The
+    /// pocket's own edges stay free, so no pin in it is sealed.
+    fn pocket_grid(wall: &[Edge], load: usize) -> Grid {
+        let mut grid = Grid::new(10, 8);
+        for &(inside, outside) in wall {
+            for _ in 0..load {
+                grid.commit(&[inside, outside]);
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn dead_ends_answer_a_second_wire_into_a_sealed_pocket() {
+        // The first wire into the pocket searches and fails, exhausting
+        // the component outside the pocket. A second wire from elsewhere
+        // outside into the pocket is then answered without a search, and
+        // a wire inside the pocket still searches and routes. After one
+        // relaxation opens the pocket, both wires into it route.
+        let capacity = 2;
+        let mut grid = pocket_grid(&POCKET_WALL, capacity);
+        let mut dead_ends = DeadEnds::new(10 * 8);
+        let first = [((1, 1), (6, 3))];
+        let second = [((2, 6), (7, 4))];
+        let base = searches();
+        let wire = |grid: &mut Grid, dead_ends: &mut DeadEnds, segments: &[_], capacity| {
+            route_wire(
+                grid,
+                segments.to_vec(),
+                capacity,
+                2.0,
+                counted_search,
+                dead_ends,
+            )
+        };
+        assert_eq!(wire(&mut grid, &mut dead_ends, &first, capacity), None);
+        assert_eq!(searches() - base, 1, "the first wire searches");
+        assert_eq!(wire(&mut grid, &mut dead_ends, &second, capacity), None);
+        assert_eq!(searches() - base, 1, "the dead end answers the second");
+        assert_eq!(dead_ends.hits, 1);
+        let inner = [((6, 3), (7, 4))];
+        assert!(wire(&mut grid, &mut dead_ends, &inner, capacity).is_some());
+        assert_eq!(searches() - base, 2, "a wire inside the pocket searches");
+        // Relax: the pocket's boundary edges are usable again.
+        dead_ends.relax();
+        let relaxed = capacity + 1;
+        for segments in [first, second] {
+            let (src, dst) = segments[0];
+            let oracle = grid.dijkstra_path(src, dst, relaxed, 2.0);
+            assert!(oracle.is_some(), "the relaxed pocket is open");
+            let paths = wire(&mut grid, &mut dead_ends, &segments, relaxed);
+            assert_eq!(paths, oracle.map(|path| vec![path]), "{src:?} -> {dst:?}");
+        }
+    }
+
+    #[test]
+    fn a_later_segments_failure_leaves_no_dead_end() {
+        // At capacity 1 the pocket has one way in, the wall's first edge;
+        // the others are saturated. A 3-pin wire's first segment enters
+        // the pocket and takes that entrance; its second segment, from
+        // inside the pocket, then fails. The failure is not recorded: the
+        // rollback frees the entrance, and a second wire into the pocket
+        // must still route through it.
+        let capacity = 1;
+        let mut grid = pocket_grid(&POCKET_WALL[1..], capacity);
+        let mut dead_ends = DeadEnds::new(10 * 8);
+        let three_pin = [((1, 3), (6, 3)), ((6, 3), (1, 6))];
+        let failed = route_wire(
+            &mut grid,
+            three_pin,
+            capacity,
+            2.0,
+            Grid::shortest_path,
+            &mut dead_ends,
+        );
+        assert_eq!(failed, None, "the entrance is taken by the first segment");
+        let into_pocket = [((2, 5), (7, 4))];
+        let oracle = grid.dijkstra_path((2, 5), (7, 4), capacity, 2.0);
+        assert!(oracle.is_some(), "the rollback reopened the entrance");
+        let routed = route_wire(
+            &mut grid,
+            into_pocket,
+            capacity,
+            2.0,
+            Grid::shortest_path,
+            &mut dead_ends,
+        );
+        assert_eq!(routed, oracle.map(|path| vec![path]));
+        assert_eq!(dead_ends.hits, 0);
     }
 }

@@ -25,6 +25,7 @@
 //! miss; every other occurrence is a hit).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
 
 use ncs_par::par_map_queue;
@@ -108,10 +109,8 @@ struct QueueState {
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedOptions {
-    /// Max jobs admitted into one batch; at least 1, or
-    /// [`Scheduler::run`] never admits a job ([`crate::Server::bind`]
-    /// rejects 0).
-    pub batch_limit: usize,
+    /// Max jobs admitted into one batch.
+    pub batch_limit: NonZeroUsize,
     /// Cache capacity in entries.
     pub cache_capacity: usize,
     /// Capture per-request stage tables (`ncs_trace::capture` around
@@ -122,7 +121,7 @@ pub struct SchedOptions {
 impl Default for SchedOptions {
     fn default() -> Self {
         SchedOptions {
-            batch_limit: 16,
+            batch_limit: NonZeroUsize::new(16).unwrap_or(NonZeroUsize::MIN),
             cache_capacity: 256,
             trace_stages: false,
         }
@@ -461,7 +460,7 @@ impl Scheduler {
             // by batch_limit) or a single leading control operation.
             let mut batch = Vec::new();
             let mut control = None;
-            while batch.len() < self.options.batch_limit {
+            while batch.len() < self.options.batch_limit.get() {
                 match state.queue.front() {
                     Some(Pending::Job(..)) => {
                         if let Some(Pending::Job(job, slot)) = state.queue.pop_front() {
@@ -568,6 +567,24 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn a_batch_limit_of_one_admits_a_job() {
+        let sched = Scheduler::new(SchedOptions {
+            batch_limit: NonZeroUsize::MIN,
+            ..SchedOptions::default()
+        });
+        let mut core = SchedulerCore::new(sched.options().clone());
+        let result = std::thread::scope(|s| {
+            s.spawn(|| sched.run(&mut core));
+            let result = sched.run_job(map_job(1));
+            sched.shutdown();
+            result
+        });
+        assert!(result.is_ok(), "the job runs: {result:?}");
+        assert_eq!(core.counters.jobs, 1);
+        assert_eq!(core.counters.max_batch, 1);
     }
 
     #[test]

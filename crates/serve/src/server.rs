@@ -18,6 +18,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -79,19 +80,19 @@ impl Server {
     /// scheduler could never admit a job), before anything is bound;
     /// [`ServeError::Io`] when the bind fails.
     pub fn bind(addr: &str, options: ServeOptions) -> Result<Server, ServeError> {
-        if options.batch_limit == 0 {
+        let Some(batch_limit) = NonZeroUsize::new(options.batch_limit) else {
             return Err(ServeError::InvalidOption {
                 field: "batch_limit",
                 requirement: "must be at least 1 for any job to be admitted",
             });
-        }
+        };
         let listener = TcpListener::bind(addr).map_err(|e| ServeError::io("bind", &e))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| ServeError::io("local_addr", &e))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let scheduler = Arc::new(Scheduler::new(SchedOptions {
-            batch_limit: options.batch_limit,
+            batch_limit,
             cache_capacity: options.cache_capacity,
             trace_stages: options.trace_stages,
         }));
@@ -99,7 +100,7 @@ impl Server {
 
         let sched_for_loop = Arc::clone(&scheduler);
         let sched_options = SchedOptions {
-            batch_limit: options.batch_limit,
+            batch_limit,
             cache_capacity: options.cache_capacity,
             trace_stages: options.trace_stages,
         };

@@ -141,6 +141,7 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
             "place.cg_iterations",
             "route.commits",
             "route.failed",
+            "route.dead_end_hits",
         ],
         "counter first-appearance order diverged from the golden stream"
     );
@@ -190,7 +191,7 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
 fn routing_is_pinned_on_the_flow() {
     // The router's absolute result on the pinned SEED=42 flow design:
     // each routed wire's id, length and path bins, then the congestion
-    // usage map. The windowed A* search is held bit for bit to its
+    // usage map. The A* search with dead ends is held bit for bit to its
     // full-grid Dijkstra oracle by the router's own unit tests on this
     // same design; this hash pins what both produce.
     use ncs_phys::{route, RouterOptions};
