@@ -327,10 +327,9 @@ fn flow_netlists(framework: &AutoNcs) -> Vec<(String, Netlist)> {
     netlists
 }
 
-/// Hot-path placement benches: the incremental bounding-box swap
-/// refinement on both netlist flavors (pairwise neuron↔device wires and
-/// folded shared nets), starting from the same analytic placement each
-/// iteration, and the default `place()` on the seed-42 tb1 and tb3
+/// Hot-path placement benches: the incremental detailed swap on a
+/// planted-cluster netlist, starting from the same analytic placement
+/// each iteration, and the default `place()` on the seed-42 tb1 and tb3
 /// netlists of the flow.
 fn place_hot_path() {
     println!("[bench] place");
@@ -349,17 +348,13 @@ fn place_hot_path() {
         detailed_swap_passes: 0,
         ..PlacerOptions::fast()
     };
-    for (tag, nl) in [
-        ("pairwise", Netlist::from_mapping(&hybrid, &tech)),
-        ("shared", Netlist::from_mapping_shared(&hybrid, &tech)),
-    ] {
-        let base = place(&nl, &analytic_only).unwrap();
-        group.bench(&format!("incremental/{tag}"), || {
-            let mut p = base.clone();
-            detailed_swap(&nl, &mut p, 8);
-            p
-        });
-    }
+    let nl = Netlist::from_mapping(&hybrid, &tech);
+    let base = place(&nl, &analytic_only).unwrap();
+    group.bench("incremental/pairwise", || {
+        let mut p = base.clone();
+        detailed_swap(&nl, &mut p, 8);
+        p
+    });
     for (name, nl) in flow_netlists(&AutoNcs::new()) {
         group.bench(&format!("global/{name}"), || {
             place(&nl, &PlacerOptions::default()).unwrap()

@@ -24,7 +24,6 @@
 //!            64x64-limit rationale, paper ref \[6\])
 //!   dnn      intro-scale workload: a deep layered network with thousands
 //!            of neurons, clustered with the sparse Lanczos backend
-//!   nets     pairwise-wire vs shared-net (multi-pin) netlist models
 //!   all      everything above
 //! ```
 
@@ -54,7 +53,6 @@ fn main() {
         "ablation" => ablation(),
         "reliability" => reliability(),
         "dnn" => dnn(),
-        "nets" => nets(),
         "all" => {
             fig3();
             fig4();
@@ -68,7 +66,6 @@ fn main() {
             ablation();
             reliability();
             dnn();
-            nets();
         }
         other => {
             eprintln!("unknown command {other:?}; see the module docs for the list");
@@ -456,43 +453,6 @@ fn ablation() {
         ));
     }
     report_artifact(&write_text("ablation_isc.csv", &csv));
-}
-
-/// Net-model ablation: the default per-connection 2-pin wires against
-/// the physically-shared multi-pin nets (one net per neuron), routed as
-/// Manhattan spanning trees.
-fn nets() {
-    use ncs_phys::{place, route, Netlist, PlacerOptions, RouterOptions};
-    use ncs_tech::TechnologyModel;
-    println!("[nets] pairwise wires vs shared nets on testbench 1");
-    let tb = testbench(1);
-    let mapping = Isc::new(IscOptions {
-        seed: SEED,
-        ..IscOptions::default()
-    })
-    .run(tb.network())
-    .expect("ISC mapping");
-    let tech = TechnologyModel::nm45();
-    let pairwise = Netlist::from_mapping(&mapping, &tech);
-    let shared = Netlist::from_mapping_shared(&mapping, &tech);
-    let mut csv = String::from("model,wires,routed_wirelength_um,max_congestion\n");
-    for (name, nl) in [("pairwise", &pairwise), ("shared", &shared)] {
-        let p = place(nl, &PlacerOptions::default()).expect("placement");
-        let r = route(nl, &p, &tech, &RouterOptions::default()).expect("routing");
-        println!(
-            "  {name:<9} {:>5} wires, routed {:>11.1} um, max bin congestion {}",
-            nl.wires.len(),
-            r.total_wirelength_um,
-            r.congestion.max_usage()
-        );
-        csv.push_str(&format!(
-            "{name},{},{:.1},{}\n",
-            nl.wires.len(),
-            r.total_wirelength_um,
-            r.congestion.max_usage()
-        ));
-    }
-    report_artifact(&write_text("nets_ablation.csv", &csv));
 }
 
 /// Intro-scale workload: the paper motivates AutoNCS with deep networks

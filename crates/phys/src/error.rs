@@ -27,7 +27,7 @@ pub enum PhysError {
         /// Relaxation rounds performed.
         relaxations: usize,
     },
-    /// A wire references fewer than two pins.
+    /// A wire has a pin that names no cell of its netlist.
     DegenerateWire {
         /// The offending wire id.
         id: usize,
@@ -50,7 +50,7 @@ impl fmt::Display for PhysError {
                 "{failed} wires unroutable after {relaxations} capacity relaxations"
             ),
             PhysError::DegenerateWire { id } => {
-                write!(f, "wire {id} has fewer than two pins")
+                write!(f, "wire {id} has a pin that names no cell")
             }
         }
     }

@@ -3,6 +3,8 @@ use std::collections::BTreeSet;
 use ncs_cluster::HybridMapping;
 use ncs_tech::{CellDims, CellKind, TechnologyModel};
 
+use crate::PhysError;
+
 /// Identifier of a cell within a [`Netlist`].
 pub type CellId = usize;
 
@@ -24,23 +26,22 @@ pub struct Cell {
     pub source: usize,
 }
 
-/// A weighted wire connecting two or more cells.
-///
-/// The netlist generator only emits two-pin wires (neuron ↔ crossbar and
-/// neuron ↔ synapse), but the wirelength models accept arbitrary pin
-/// counts.
+/// A weighted wire joining two cells. [`Netlist::from_mapping`] emits one
+/// per neuron ↔ crossbar and neuron ↔ synapse connection, as Table 1
+/// counts wire per connection. Both pins may name the same cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wire {
     /// Wire id (index into [`Netlist::wires`]).
     pub id: WireId,
-    /// Connected cells.
-    pub pins: Vec<CellId>,
+    /// The two joined cells. The router routes from `pins[0]` to
+    /// `pins[1]`.
+    pub pins: [CellId; 2],
     /// RC-delay-derived weight (higher = more timing-critical, shortened
     /// preferentially by the placer).
     pub weight: f64,
 }
 
-/// The cell/wire hypergraph that the placer and router operate on.
+/// The cell/wire graph that the placer and router operate on.
 ///
 /// # Examples
 ///
@@ -110,7 +111,7 @@ impl Netlist {
             for neuron in touched {
                 wires.push(Wire {
                     id: wires.len(),
-                    pins: vec![neuron, xbar_cell],
+                    pins: [neuron, xbar_cell],
                     weight: tech.wire_weight(CellKind::Neuron, kind),
                 });
             }
@@ -126,13 +127,13 @@ impl Netlist {
             let weight = tech.wire_weight(CellKind::Neuron, CellKind::Synapse);
             wires.push(Wire {
                 id: wires.len(),
-                pins: vec![from, syn_cell],
+                pins: [from, syn_cell],
                 weight,
             });
             if to != from {
                 wires.push(Wire {
                     id: wires.len(),
-                    pins: vec![syn_cell, to],
+                    pins: [syn_cell, to],
                     weight,
                 });
             }
@@ -140,48 +141,22 @@ impl Netlist {
         Netlist { cells, wires }
     }
 
-    /// Builds a **shared-net** netlist: instead of one 2-pin wire per
-    /// neuron/cell pair, each neuron gets a single multi-pin net spanning
-    /// every crossbar and synapse cell it touches — the physically
-    /// accurate model of a neuron's output being one electrical net. The
-    /// router decomposes these nets into Manhattan spanning trees, so this
-    /// model reports lower (more realistic) total wirelength; the default
-    /// pairwise model matches the paper's per-connection accounting. The
-    /// `repro nets` ablation compares both.
-    pub fn from_mapping_shared(mapping: &HybridMapping, tech: &TechnologyModel) -> Self {
-        let pairwise = Self::from_mapping(mapping, tech);
-        let mut nets: Vec<(Vec<CellId>, f64)> = vec![(Vec::new(), 0.0); mapping.neurons()];
-        for wire in &pairwise.wires {
-            // Every generated wire is neuron ↔ device; fold it into the
-            // neuron's net, keeping the heaviest weight.
-            let (&neuron, &device) = match wire.pins.as_slice() {
-                [a, b] if *a < mapping.neurons() => (a, b),
-                [a, b] => (b, a),
-                // ncs-lint: allow(no-panic-paths) — from_mapping emits only 2-pin wires
-                _ => unreachable!("generator emits 2-pin wires"),
-            };
-            let net = &mut nets[neuron];
-            if !net.0.contains(&device) {
-                net.0.push(device);
-            }
-            net.1 = net.1.max(wire.weight);
+    /// Checks what [`place`](crate::place) and [`route`](crate::route)
+    /// index by: the netlist has a cell, and every wire pin names one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhysError::EmptyNetlist`] for a cell-less netlist and
+    /// [`PhysError::DegenerateWire`] for the first wire with a pin that
+    /// names no cell.
+    pub(crate) fn check(&self) -> Result<(), PhysError> {
+        if self.cells.is_empty() {
+            return Err(PhysError::EmptyNetlist);
         }
-        let mut wires = Vec::new();
-        for (neuron, (mut devices, weight)) in nets.into_iter().enumerate() {
-            if devices.is_empty() {
-                continue;
-            }
-            let mut pins = vec![neuron];
-            pins.append(&mut devices);
-            wires.push(Wire {
-                id: wires.len(),
-                pins,
-                weight,
-            });
-        }
-        Netlist {
-            cells: pairwise.cells,
-            wires,
+        let names_no_cell = |w: &&Wire| w.pins.iter().any(|&p| p >= self.cells.len());
+        match self.wires.iter().find(names_no_cell) {
+            Some(w) => Err(PhysError::DegenerateWire { id: w.id }),
+            None => Ok(()),
         }
     }
 
@@ -222,7 +197,6 @@ mod tests {
         }
         for (i, w) in nl.wires.iter().enumerate() {
             assert_eq!(w.id, i);
-            assert_eq!(w.pins.len(), 2);
             for &p in &w.pins {
                 assert!(p < nl.cells.len());
             }
@@ -276,54 +250,6 @@ mod tests {
             .find(|w| w.pins.contains(&3))
             .expect("synapse wire exists");
         assert!(xbar_wire.weight > syn_wire.weight);
-    }
-
-    #[test]
-    fn shared_nets_fold_pairwise_wires_per_neuron() {
-        // Neuron 0 feeds a crossbar and a synapse: one shared net with
-        // three pins instead of two 2-pin wires.
-        let xbar = CrossbarAssignment::new(vec![0, 1], vec![0, 1], 16, vec![(0, 1)]);
-        let mapping = HybridMapping::new(3, vec![xbar], vec![(0, 2)]);
-        let tech = TechnologyModel::nm45();
-        let pairwise = Netlist::from_mapping(&mapping, &tech);
-        let shared = Netlist::from_mapping_shared(&mapping, &tech);
-        assert_eq!(pairwise.cells, shared.cells);
-        assert!(shared.wires.len() < pairwise.wires.len());
-        // Neuron 0's net: crossbar cell (3) + synapse cell (4) + itself.
-        let net0 = shared
-            .wires
-            .iter()
-            .find(|w| w.pins[0] == 0)
-            .expect("net for neuron 0");
-        assert_eq!(net0.pins.len(), 3);
-        // Weight keeps the heaviest (crossbar) class.
-        let xbar_weight = tech.wire_weight(CellKind::Neuron, CellKind::Crossbar(16));
-        assert_eq!(net0.weight, xbar_weight);
-        // Every neuron pin count is conserved as a set.
-        let total_device_pins: usize = shared.wires.iter().map(|w| w.pins.len() - 1).sum();
-        assert_eq!(total_device_pins, pairwise.wires.len());
-    }
-
-    #[test]
-    fn shared_nets_route_and_place() {
-        use crate::{place, route, PlacerOptions, RouterOptions};
-        let net = generators::uniform_random(40, 0.06, 8).unwrap();
-        let mapping = full_crossbar(&net, 16).unwrap();
-        let tech = TechnologyModel::nm45();
-        let shared = Netlist::from_mapping_shared(&mapping, &tech);
-        let p = place(&shared, &PlacerOptions::fast()).unwrap();
-        let r = route(&shared, &p, &tech, &RouterOptions::default()).unwrap();
-        assert_eq!(r.routed.len(), shared.wires.len());
-        // The shared-net model must never cost more wire than pairwise on
-        // the same placement (a spanning tree reuses trunks).
-        let pairwise = Netlist::from_mapping(&mapping, &tech);
-        let rp = route(&pairwise, &p, &tech, &RouterOptions::default()).unwrap();
-        assert!(
-            r.total_wirelength_um <= rp.total_wirelength_um + 1e-9,
-            "shared {} vs pairwise {}",
-            r.total_wirelength_um,
-            rp.total_wirelength_um
-        );
     }
 
     #[test]

@@ -153,19 +153,11 @@ impl Placement {
 /// # Errors
 ///
 /// Returns [`PhysError::EmptyNetlist`] for a cell-less netlist,
-/// [`PhysError::DegenerateWire`] if a wire has fewer than two pins, and
+/// [`PhysError::DegenerateWire`] for a wire pin that names no cell, and
 /// [`PhysError::InvalidOption`] unless `gamma` is finite and > 0, `omega`
 /// finite and ≥ 1, and `lambda_multiplier` finite and > 1.
 pub fn place(netlist: &Netlist, options: &PlacerOptions) -> Result<Placement, PhysError> {
-    let n = netlist.cells.len();
-    if n == 0 {
-        return Err(PhysError::EmptyNetlist);
-    }
-    for w in &netlist.wires {
-        if w.pins.len() < 2 {
-            return Err(PhysError::DegenerateWire { id: w.id });
-        }
-    }
+    netlist.check()?;
     for (what, value, in_range) in [
         ("gamma", options.gamma, options.gamma > 0.0),
         ("omega", options.omega, options.omega >= 1.0),
@@ -339,205 +331,47 @@ fn swap_structures(
     (wires_of, groups)
 }
 
-/// Cached per-wire bounding box: per axis, the extrema, how many pins
-/// attain each, and the runner-up value (the extremum of the pins with
-/// one attaining occurrence removed). Together these make a candidate
-/// swap O(1) per touched wire: when the moving pin is not the unique
-/// extremum the new extent follows from the extrema alone, and when it
-/// is — the case that would otherwise force a rescan — the cached
-/// runner-up takes over. Every cached value is an exact selection from
-/// the pin coordinates, so incremental results are numerically identical
-/// to full recomputation. Wires with duplicated pins (two coordinates
-/// moving at once) still defer to the exact-rescan fallback.
-#[derive(Clone, Copy)]
-struct AxisBox {
-    min: f64,
-    max: f64,
-    /// Pins attaining min / max.
-    n_min: u32,
-    n_max: u32,
-    /// Second-smallest / second-largest pin value (multiplicity aware).
-    min2: f64,
-    max2: f64,
-}
-
-impl AxisBox {
-    fn build(pins: &[CellId], coord: &[f64]) -> AxisBox {
-        let (mut m1, mut m2) = (f64::INFINITY, f64::INFINITY);
-        let (mut h1, mut h2) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &p in pins {
-            let v = coord[p];
-            if v < m1 {
-                m2 = m1;
-                m1 = v;
-            } else {
-                m2 = m2.min(v);
-            }
-            if v > h1 {
-                h2 = h1;
-                h1 = v;
-            } else {
-                h2 = h2.max(v);
-            }
-        }
-        // Extrema are exact selections from the pin coordinates, so
-        // equality identifies attainment exactly.
-        let mut n_min = 0;
-        let mut n_max = 0;
-        for &p in pins {
-            n_min += u32::from(coord[p] == m1);
-            n_max += u32::from(coord[p] == h1);
-        }
-        AxisBox {
-            min: m1,
-            max: h1,
-            n_min,
-            n_max,
-            min2: m2,
-            max2: h2,
-        }
-    }
-
-    /// Extent after a single pin moves from `u` to `v`. `u <= min` can
-    /// only hold with equality (min is the exact minimum over the pins,
-    /// u among them), i.e. it tests attainment; when the sole attainer
-    /// departs inward, the runner-up is the surviving minimum.
-    fn moved_extent(&self, u: f64, v: f64) -> f64 {
-        let lo = if u <= self.min && self.n_min == 1 {
-            self.min2.min(v)
-        } else {
-            self.min.min(v)
-        };
-        let hi = if u >= self.max && self.n_max == 1 {
-            self.max2.max(v)
-        } else {
-            self.max.max(v)
-        };
-        hi - lo
-    }
-}
-
-#[derive(Clone, Copy)]
-struct WireBox {
-    x: AxisBox,
-    y: AxisBox,
-}
-
-impl WireBox {
-    fn build(pins: &[CellId], xs: &[f64], ys: &[f64]) -> WireBox {
-        WireBox {
-            x: AxisBox::build(pins, xs),
-            y: AxisBox::build(pins, ys),
-        }
-    }
-
-    fn hpwl(&self, weight: f64) -> f64 {
-        weight * ((self.x.max - self.x.min) + (self.y.max - self.y.min))
-    }
-
-    /// Weighted HPWL after the pin at `(ux, uy)` moves to `(vx, vy)`.
-    fn moved_hpwl(&self, weight: f64, ux: f64, uy: f64, vx: f64, vy: f64) -> f64 {
-        weight * (self.x.moved_extent(ux, vx) + self.y.moved_extent(uy, vy))
-    }
-}
-
 /// Greedy detailed placement: exchange positions of same-footprint cells
 /// whenever the swap shortens the weighted HPWL of their incident wires.
-/// Identical footprints make every swap legality-preserving.
+/// Identical footprints make every swap legality-preserving. `netlist`
+/// must be one that [`place`] accepts and `placement` that netlist's
+/// placement.
 ///
-/// Candidate evaluation is **incremental**: per-wire bounding boxes,
-/// extremum-attainment counts, and runner-up extrema are cached, so
-/// scoring a swap costs O(1) per touched wire instead of a full pin
-/// scan. When a moved pin was the unique extremum of its wire, the
-/// cached runner-up supplies the surviving extremum; wires the cache
-/// cannot describe (duplicated pins move two coordinates at once) take
-/// an exact-rescan fallback. Accepted swaps rebuild the caches of the
-/// touched wires. Every evaluated quantity is numerically identical to
-/// full recomputation (extrema are exact selections and the per-wire
-/// summation order matches the full-recompute oracle in the tests), so
-/// the accept/reject sequence — and therefore the final placement, bit
-/// for bit — cannot diverge from it; the tests pin this on the
-/// determinism suite's flow design.
+/// A swap of `a` and `b` moves one pin of each wire it touches, so a
+/// candidate costs O(1) per wire: the wire's other pin `o` stays, and its
+/// weighted HPWL becomes `w·(|x − x_o| + |y − y_o|)` at the moved pin's
+/// new position. A wire whose other pin moves too (one joining `a` and
+/// `b`, or with both pins on one cell) keeps its length. The sums run
+/// over the wires of `a`, then of `b`, as the full-recompute oracle in
+/// the tests does. For finite coordinates each term equals the oracle's
+/// up to the sign of a zero, which neither the sums' values nor the `<`
+/// test can see, so the accept/reject sequence — and the final
+/// placement, bit for bit — cannot diverge from it; the tests pin this
+/// on the determinism suite's flow design.
 pub fn detailed_swap(netlist: &Netlist, placement: &mut Placement, passes: usize) {
     let (wires_of, groups) = swap_structures(netlist);
-    let mut boxes: Vec<WireBox> = netlist
-        .wires
-        .iter()
-        .map(|w| WireBox::build(&w.pins, &placement.x, &placement.y))
-        .collect();
-    // Wires with duplicated pins would move two coordinates per swap;
-    // they always take the exact-rescan path (netlist generators never
-    // emit them, but hand-built test wires can).
-    let has_dup: Vec<bool> = netlist
-        .wires
-        .iter()
-        .map(|w| {
-            let mut pins = w.pins.clone();
-            pins.sort_unstable();
-            pins.windows(2).any(|p| p[0] == p[1])
-        })
-        .collect();
-    // Weighted HPWL of wire `wid` with cells a and b exchanged — the
-    // exact fallback, equivalent to recomputing after the swap.
-    let swapped_hpwl = |wid: usize, a: usize, b: usize, xs: &[f64], ys: &[f64]| -> f64 {
-        let w = &netlist.wires[wid];
-        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
-        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &p in &w.pins {
-            let q = if p == a {
-                b
-            } else if p == b {
-                a
-            } else {
-                p
-            };
-            x0 = x0.min(xs[q]);
-            x1 = x1.max(xs[q]);
-            y0 = y0.min(ys[q]);
-            y1 = y1.max(ys[q]);
-        }
-        w.weight * ((x1 - x0) + (y1 - y0))
-    };
-    let mut incremental_hits = 0u64;
-    let mut exact_fallbacks = 0u64;
     for _ in 0..passes {
         let mut improved = false;
         for members in groups.values() {
             for (ai, &a) in members.iter().enumerate() {
                 for &b in &members[ai + 1..] {
-                    let (xa, ya) = (placement.x[a], placement.y[a]);
-                    let (xb, yb) = (placement.x[b], placement.y[b]);
-                    // Sum `before` and `after` over wires_of[a] then
-                    // wires_of[b] — the same order (including the double
-                    // count of shared wires) as the reference's chained
-                    // sums, so both sums carry identical rounding.
+                    let (xs, ys) = (&placement.x, &placement.y);
                     let mut before = 0.0;
                     let mut after = 0.0;
-                    for mover_is_a in [true, false] {
-                        let (list, other) = if mover_is_a {
-                            (&wires_of[a], &wires_of[b])
-                        } else {
-                            (&wires_of[b], &wires_of[a])
-                        };
-                        for &wid in list {
-                            let weight = netlist.wires[wid].weight;
-                            before += boxes[wid].hpwl(weight);
-                            after += if has_dup[wid] {
-                                exact_fallbacks += 1;
-                                swapped_hpwl(wid, a, b, &placement.x, &placement.y)
-                            } else if other.binary_search(&wid).is_ok() {
-                                // A wire pinned to both cells sees its
-                                // coordinate multiset unchanged.
-                                incremental_hits += 1;
-                                boxes[wid].hpwl(weight)
+                    for (mover, dest) in [(a, b), (b, a)] {
+                        for &wid in &wires_of[mover] {
+                            let wire = &netlist.wires[wid];
+                            let [p, q] = wire.pins;
+                            let o = if p == mover { q } else { p };
+                            let length_from = |c: CellId| {
+                                wire.weight * ((xs[c] - xs[o]).abs() + (ys[c] - ys[o]).abs())
+                            };
+                            let now = length_from(mover);
+                            before += now;
+                            after += if o == a || o == b {
+                                now
                             } else {
-                                let (ux, uy, vx, vy) = if mover_is_a {
-                                    (xa, ya, xb, yb)
-                                } else {
-                                    (xb, yb, xa, ya)
-                                };
-                                incremental_hits += 1;
-                                boxes[wid].moved_hpwl(weight, ux, uy, vx, vy)
+                                length_from(dest)
                             };
                         }
                     }
@@ -545,13 +379,6 @@ pub fn detailed_swap(netlist: &Netlist, placement: &mut Placement, passes: usize
                         improved = true;
                         placement.x.swap(a, b);
                         placement.y.swap(a, b);
-                        for &wid in wires_of[a].iter().chain(&wires_of[b]) {
-                            boxes[wid] = WireBox::build(
-                                &netlist.wires[wid].pins,
-                                &placement.x,
-                                &placement.y,
-                            );
-                        }
                     }
                 }
             }
@@ -560,8 +387,6 @@ pub fn detailed_swap(netlist: &Netlist, placement: &mut Placement, passes: usize
             break;
         }
     }
-    ncs_trace::add("place.incremental_hits", incremental_hits);
-    ncs_trace::add("place.exact_fallbacks", exact_fallbacks);
 }
 
 /// Normalizes a placement to the positive quadrant for readability.
@@ -644,19 +469,18 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, mut grad: Option<&mut
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
     let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
-    let mut span_scratch = WaScratch::default();
     let mut total = 0.0;
     for chunk in netlist.wires.chunks(WL_GRAIN) {
         fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
             let mut chunk_total = 0.0;
             for wire in chunk {
+                let [a, b] = wire.pins;
                 for (coords, offset) in [(xs, 0usize), (ys, n)] {
-                    let span = wa_span(&wire.pins, coords, gamma, &mut span_scratch);
+                    let (span, [da, db]) = wa_span(coords[a], coords[b], gamma);
                     chunk_total += wire.weight * span;
                     if let Some(g) = g.as_deref_mut() {
-                        for (&pin, d) in wire.pins.iter().zip(&span_scratch.derivs) {
-                            g[offset + pin] += wire.weight * d;
-                        }
+                        g[offset + a] += wire.weight * da;
+                        g[offset + b] += wire.weight * db;
                     }
                 }
             }
@@ -666,62 +490,14 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, mut grad: Option<&mut
     total
 }
 
-/// Per-chunk buffers of [`wa_span`], reused from wire to wire: the pin
-/// coordinates, the two exponential weight vectors, and (the output)
-/// the per-pin derivatives of the span.
-#[derive(Default)]
-struct WaScratch {
-    vals: Vec<f64>,
-    ep: Vec<f64>,
-    em: Vec<f64>,
-    derivs: Vec<f64>,
-}
-
-/// WA smooth max-minus-min of one coordinate over a pin set; the per-pin
-/// derivatives are left in `scratch.derivs`.
+/// WA smooth max-minus-min (Eq. 1) of one coordinate over a wire's pins
+/// at `a` and `b`, with its derivatives in `a` and `b`. It is the n-pin
+/// WA formula with one `exp` instead of four: the extreme pins' own
+/// weights are exp(±0) = 1 and both others are exp((min − max)/γ), as
+/// −(max − min) = min − max exactly. Every other operation is the n-pin
+/// formula's, in its order; the tests hold the two bit for bit.
 // ncs-lint: hot
-fn wa_span(pins: &[CellId], coords: &[f64], gamma: f64, scratch: &mut WaScratch) -> f64 {
-    if let [p, q] = *pins {
-        return wa_span_two_pin(coords[p], coords[q], gamma, &mut scratch.derivs);
-    }
-    let WaScratch {
-        vals,
-        ep,
-        em,
-        derivs,
-    } = scratch;
-    vals.clear();
-    vals.extend(pins.iter().map(|&p| coords[p]));
-    let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-    // Smooth max side: weights exp((x - max)/γ).
-    ep.clear();
-    ep.extend(vals.iter().map(|&v| ((v - max) / gamma).exp()));
-    let sp: f64 = ep.iter().sum();
-    let sxp: f64 = vals.iter().zip(ep.iter()).map(|(v, e)| v * e).sum();
-    let wa_max = sxp / sp;
-    // Smooth min side: weights exp(-(x - min)/γ).
-    em.clear();
-    em.extend(vals.iter().map(|&v| (-(v - min) / gamma).exp()));
-    let sm: f64 = em.iter().sum();
-    let sxm: f64 = vals.iter().zip(em.iter()).map(|(v, e)| v * e).sum();
-    let wa_min = sxm / sm;
-    derivs.clear();
-    derivs.extend(vals.iter().enumerate().map(|(i, &v)| {
-        let dmax = (ep[i] / sp) * (1.0 + (v - wa_max) / gamma);
-        let dmin = (em[i] / sm) * (1.0 - (v - wa_min) / gamma);
-        dmax - dmin
-    }));
-    wa_max - wa_min
-}
-
-/// [`wa_span`]'s n-pin formula for the pins `(a, b)` of every
-/// [`Netlist::from_mapping`] wire, with one `exp` instead of four: the
-/// extreme pins' own weights are exp(±0) = 1 and both others are
-/// exp((min − max)/γ), as −(max − min) = min − max exactly. Every other
-/// operation is the n-pin formula's, in its order.
-// ncs-lint: hot
-fn wa_span_two_pin(a: f64, b: f64, gamma: f64, derivs: &mut Vec<f64>) -> f64 {
+fn wa_span(a: f64, b: f64, gamma: f64) -> (f64, [f64; 2]) {
     let max = f64::NEG_INFINITY.max(a).max(b);
     let min = f64::INFINITY.min(a).min(b);
     let e = ((min - max) / gamma).exp();
@@ -731,12 +507,11 @@ fn wa_span_two_pin(a: f64, b: f64, gamma: f64, derivs: &mut Vec<f64>) -> f64 {
     let sum = pa + pb;
     let wa_max = (a * pa + b * pb) / sum;
     let wa_min = (a * pb + b * pa) / sum;
-    derivs.clear();
-    derivs.extend([
+    let derivs = [
         (pa / sum) * (1.0 + (a - wa_max) / gamma) - (pb / sum) * (1.0 - (a - wa_min) / gamma),
         (pb / sum) * (1.0 + (b - wa_max) / gamma) - (pa / sum) * (1.0 - (b - wa_min) / gamma),
-    ]);
-    wa_max - wa_min
+    ];
+    (wa_max - wa_min, derivs)
 }
 
 /// Smooth finite-support overlap potential along one axis: bell-shaped,
@@ -1499,27 +1274,26 @@ mod tests {
     #[test]
     fn degenerate_wire_rejected() {
         let mut nl = small_netlist();
+        let id = nl.wires.len();
         nl.wires.push(crate::Wire {
-            id: nl.wires.len(),
-            pins: vec![0],
+            id,
+            pins: [0, nl.cells.len()],
             weight: 1.0,
         });
-        assert!(matches!(
+        assert_eq!(
             place(&nl, &PlacerOptions::default()),
-            Err(PhysError::DegenerateWire { .. })
-        ));
+            Err(PhysError::DegenerateWire { id })
+        );
     }
 
     #[test]
     fn wa_span_approximates_true_span() {
-        let coords = vec![0.0, 10.0, 4.0];
-        let pins = vec![0, 1, 2];
-        let span = wa_span(&pins, &coords, 0.5, &mut WaScratch::default());
+        let (span, _) = wa_span(0.0, 10.0, 0.5);
         assert!((span - 10.0).abs() < 0.5, "span {span}");
     }
 
-    /// The allocating `wa_span` the scratch version replaced, kept as its
-    /// bit-exactness oracle.
+    /// The n-pin WA formula, kept as the bit-exactness oracle of
+    /// [`wa_span`].
     fn wa_span_oracle(pins: &[CellId], coords: &[f64], gamma: f64) -> (f64, Vec<f64>) {
         let vals: Vec<f64> = pins.iter().map(|&p| coords[p]).collect();
         let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -1554,16 +1328,15 @@ mod tests {
         let mut coords = vec![0.0, -0.0, 3.5, 3.5, -120.25, 1e-300, -7.0, 5e3, -5e3];
         coords.extend((0..24).map(|_| rng.normal(0.0, 40.0)));
         let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<u64>>();
-        let mut scratch = WaScratch::default();
         let mut underflows = 0;
         for gamma in [0.5, 2.0, 8.0] {
             for p in 0..coords.len() {
                 for q in 0..coords.len() {
                     let (span, derivs) = wa_span_oracle(&[p, q], &coords, gamma);
-                    let got = wa_span(&[p, q], &coords, gamma, &mut scratch);
+                    let (got, got_derivs) = wa_span(coords[p], coords[q], gamma);
                     let case = format!("pins ({}, {}) γ {gamma}", coords[p], coords[q]);
                     assert_eq!(got.to_bits(), span.to_bits(), "span, {case}");
-                    assert_eq!(bits(&scratch.derivs), bits(&derivs), "derivs, {case}");
+                    assert_eq!(bits(&got_derivs), bits(&derivs), "derivs, {case}");
                     if (-(coords[p] - coords[q]).abs() / gamma).exp() == 0.0 {
                         underflows += 1;
                     }
@@ -1580,7 +1353,7 @@ mod tests {
                     continue;
                 }
                 let (span, _) = wa_span_oracle(&[p, q], &odd, 2.0);
-                let got = wa_span(&[p, q], &odd, 2.0, &mut scratch);
+                let (got, _) = wa_span(odd[p], odd[q], 2.0);
                 assert!(span.is_nan() && got.is_nan(), "({}, {})", odd[p], odd[q]);
             }
         }
@@ -1595,7 +1368,7 @@ mod tests {
     }
 
     /// The replaced `wa_wirelength` (same chunk grid and folds, one
-    /// allocating `wa_span` call per wire and axis).
+    /// n-pin [`wa_span_oracle`] call per wire and axis).
     fn wa_wirelength_oracle(netlist: &Netlist, p: &[f64], gamma: f64, grad: &mut [f64]) -> f64 {
         let n = netlist.cells.len();
         let (xs, ys) = p.split_at(n);
@@ -1691,7 +1464,7 @@ mod tests {
 
     /// A seeded mixed-size netlist: neurons, discrete synapses and
     /// crossbars of three sizes (the largest first among the macros), in
-    /// shuffled id order, with 2-pin wires and a share of many-pin ones.
+    /// shuffled id order, with wires between random cells.
     fn mixed_netlist(seed: u64, cells: usize, wires: usize) -> Netlist {
         use ncs_rng::Rng;
         use ncs_tech::CellKind;
@@ -1716,17 +1489,10 @@ mod tests {
             })
             .collect();
         let wires = (0..wires)
-            .map(|id| {
-                let pins = if id % 7 == 0 {
-                    rng.gen_range(3usize..=12)
-                } else {
-                    2
-                };
-                crate::Wire {
-                    id,
-                    pins: (0..pins).map(|_| rng.gen_range(0..cells.len())).collect(),
-                    weight: 0.5 + rng.gen_f64(),
-                }
+            .map(|id| crate::Wire {
+                id,
+                pins: [rng.gen_range(0..cells.len()), rng.gen_range(0..cells.len())],
+                weight: 0.5 + rng.gen_f64(),
             })
             .collect();
         Netlist { cells, wires }
@@ -2177,7 +1943,7 @@ mod tests {
 
     /// A pseudo-random mapping with several same-size crossbars (so the
     /// swap groups are non-trivial) and discrete synapses.
-    fn swap_heavy_netlist(seed: u64, shared: bool) -> Netlist {
+    fn swap_heavy_netlist(seed: u64) -> Netlist {
         let mut state = seed | 1;
         let mut next = move |m: usize| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -2197,50 +1963,35 @@ mod tests {
             .filter(|&(f, t)| f != t)
             .collect();
         let mapping = HybridMapping::new(neurons, xbars, outliers);
-        if shared {
-            Netlist::from_mapping_shared(&mapping, &TechnologyModel::nm45())
-        } else {
-            Netlist::from_mapping(&mapping, &TechnologyModel::nm45())
-        }
+        Netlist::from_mapping(&mapping, &TechnologyModel::nm45())
     }
 
     #[test]
     fn incremental_swap_matches_reference_bit_for_bit() {
         // The incremental evaluator must reproduce the reference's
         // accept/reject sequence exactly, so the refined placements agree
-        // to the last bit — on 2-pin netlists, genuine multi-pin shared
-        // nets, and across several seeds.
+        // to the last bit, across several seeds.
         for seed in [3u64, 11, 42] {
-            for shared in [false, true] {
-                let nl = swap_heavy_netlist(seed, shared);
-                let base = place(&nl, &PlacerOptions::fast()).unwrap();
-                let mut fast = base.clone();
-                detailed_swap(&nl, &mut fast, 6);
-                let mut slow = base.clone();
-                detailed_swap_reference(&nl, &mut slow, 6);
-                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
-                assert_eq!(
-                    bits(&fast.x),
-                    bits(&slow.x),
-                    "x diverged (seed {seed}, shared {shared})"
-                );
-                assert_eq!(
-                    bits(&fast.y),
-                    bits(&slow.y),
-                    "y diverged (seed {seed}, shared {shared})"
-                );
-                assert!(
-                    fast.weighted_hpwl(&nl) <= base.weighted_hpwl(&nl) + 1e-9,
-                    "refinement must not worsen HPWL"
-                );
-            }
+            let nl = swap_heavy_netlist(seed);
+            let base = place(&nl, &PlacerOptions::fast()).unwrap();
+            let mut fast = base.clone();
+            detailed_swap(&nl, &mut fast, 6);
+            let mut slow = base.clone();
+            detailed_swap_reference(&nl, &mut slow, 6);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&fast.x), bits(&slow.x), "x diverged (seed {seed})");
+            assert_eq!(bits(&fast.y), bits(&slow.y), "y diverged (seed {seed})");
+            assert!(
+                fast.weighted_hpwl(&nl) <= base.weighted_hpwl(&nl) + 1e-9,
+                "refinement must not worsen HPWL"
+            );
         }
     }
 
     #[test]
     fn incremental_detailed_swap_matches_reference_on_the_flow() {
-        // The incremental bounding-box bookkeeping in detailed_swap must
-        // make exactly the same accept/reject decisions as the
+        // The incremental evaluation in detailed_swap must make exactly
+        // the same accept/reject decisions as the
         // full-HPWL-recompute oracle — on the determinism suite's pinned
         // flow design the refined coordinates agree bit for bit after
         // several passes.
@@ -2269,90 +2020,26 @@ mod tests {
 
     #[test]
     fn incremental_swap_handles_duplicate_pins() {
-        // Hand-built wire with a duplicated pin: the incremental path
-        // must defer to the exact rescan and still match the reference.
-        let mut nl = swap_heavy_netlist(7, false);
-        let id = nl.wires.len();
-        nl.wires.push(crate::Wire {
-            id,
-            pins: vec![0, 1, 1, 2],
-            weight: 2.0,
-        });
-        let base = place(&nl, &PlacerOptions::fast()).unwrap();
-        let mut fast = base.clone();
-        detailed_swap(&nl, &mut fast, 4);
-        let mut slow = base;
-        detailed_swap_reference(&nl, &mut slow, 4);
-        assert_eq!(fast, slow, "duplicate-pin wire broke the equivalence");
-    }
-
-    #[test]
-    fn incremental_swap_uses_both_paths() {
-        // The speedup claim rests on the O(1) path handling every
-        // duplicate-free wire while the exact fallback covers the rest;
-        // check both paths fire where they should.
-        let counters = |nl: &Netlist| {
-            let base = place(nl, &PlacerOptions::fast()).unwrap();
-            let (_, events) = ncs_trace::capture(|| {
-                let mut p = base.clone();
-                detailed_swap(nl, &mut p, 6);
+        // Two hand-built wires whose other pin moves with the swapped
+        // one: a wire with both pins on one cell, and a wire joining two
+        // neurons, which share a footprint group. Each keeps its length
+        // through a swap of its cells, and the refined placement must
+        // match the reference's.
+        for pins in [[1, 1], [0, 1]] {
+            let mut nl = swap_heavy_netlist(7);
+            let id = nl.wires.len();
+            nl.wires.push(crate::Wire {
+                id,
+                pins,
+                weight: 2.0,
             });
-            let report = ncs_trace::TraceReport::from_events(&events);
-            let total = |name: &str| {
-                report
-                    .counters
-                    .iter()
-                    .find(|c| c.name == name)
-                    .map_or(0, |c| c.total)
-            };
-            (
-                total("place.incremental_hits"),
-                total("place.exact_fallbacks"),
-            )
-        };
-        let clean = swap_heavy_netlist(5, true);
-        let (hits, fallbacks) = counters(&clean);
-        assert!(hits > 0, "incremental path never used");
-        assert_eq!(
-            fallbacks, 0,
-            "duplicate-free wires must never need the rescan fallback"
-        );
-        let mut dup = swap_heavy_netlist(5, false);
-        let id = dup.wires.len();
-        dup.wires.push(crate::Wire {
-            id,
-            pins: vec![0, 0, 1],
-            weight: 1.0,
-        });
-        let (hits, fallbacks) = counters(&dup);
-        assert!(hits > 0);
-        assert!(fallbacks > 0, "duplicate-pin wires must take the fallback");
-    }
-
-    #[test]
-    fn wire_box_moved_extent_agrees_with_rescan() {
-        // Exhaustive micro-check of the cache math: every combination of
-        // attainment multiplicity (unique extremum, tied extremum, interior
-        // pin) and move direction must match a full rescan bit-for-bit —
-        // the runner-up cache makes the O(1) path complete.
-        let coords = [1.0, 2.0, 2.0, 5.0];
-        let pins: Vec<usize> = (0..coords.len()).collect();
-        for u_idx in 0..coords.len() {
-            for v in [0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0] {
-                let xs = coords.to_vec();
-                let b = AxisBox::build(&pins, &xs);
-                let extent = b.moved_extent(coords[u_idx], v);
-                let mut moved = xs.clone();
-                moved[u_idx] = v;
-                let lo = moved.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = moved.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(
-                    extent.to_bits(),
-                    (hi - lo).to_bits(),
-                    "u={} v={v}",
-                    coords[u_idx]
-                );
-            }
+            let base = place(&nl, &PlacerOptions::fast()).unwrap();
+            let mut fast = base.clone();
+            detailed_swap(&nl, &mut fast, 4);
+            let mut slow = base.clone();
+            detailed_swap_reference(&nl, &mut slow, 4);
+            assert_eq!(fast, slow, "wire {pins:?} broke the equivalence");
+            assert_ne!(fast, base, "the swap passes refined nothing");
         }
     }
 }

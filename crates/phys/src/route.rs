@@ -56,11 +56,10 @@ impl Default for RouterOptions {
 pub struct RoutedWire {
     /// The wire this path implements.
     pub wire: WireId,
-    /// Grid bins visited, as `(col, row)` pairs. For a 2-pin wire this is
-    /// a single source-to-sink path; for a multi-pin wire it is the
-    /// concatenation of the routed spanning-tree segments.
+    /// Grid bins visited from the bin of the wire's `pins[0]` to the bin
+    /// of its `pins[1]`, as `(col, row)` pairs.
     pub path: Vec<(usize, usize)>,
-    /// Routed length, µm (sum of segment lengths · θ).
+    /// Routed length, µm (steps along the path · θ).
     pub length_um: f64,
 }
 
@@ -133,23 +132,19 @@ pub struct Routing {
 /// gravity of all cells to their closest pin (with wire weight as the tie
 /// breaker), maze-routed one at a time on the live grid under the current
 /// capacity (A*), and any wires that fail are retried after the virtual
-/// capacity is relaxed. Segments that the round's dead ends prove
-/// unroutable fail without a search (see [`DeadEnds`]).
-///
-/// Multi-pin wires are decomposed into a Manhattan minimum spanning tree
-/// over their pins and each tree edge is maze-routed in turn (the default
-/// netlist generator emits 2-pin wires; the shared-net model produces
-/// genuine multi-pin nets). Each segment commits as soon as its path is
-/// found, so later segments of the same wire see it; a wire with an
-/// unroutable segment rolls back its committed segments and waits for the
-/// next relaxation.
+/// capacity is relaxed. Each wire routes from its `pins[0]` to its
+/// `pins[1]` and commits its path as soon as it is found. Wires that the
+/// round's dead ends prove unroutable fail without a search (DESIGN.md,
+/// "Full-grid A\* maze routing with dead ends").
 ///
 /// # Errors
 ///
 /// Returns [`PhysError::Unroutable`] if wires remain unrouted after
 /// `max_relaxations` rounds, [`PhysError::InvalidOption`] unless `theta`
-/// is finite and > 0 and `congestion_penalty` finite and ≥ 0, and
-/// [`PhysError::DegenerateWire`] for wires with fewer than two pins.
+/// is finite and > 0 and `congestion_penalty` finite and ≥ 0,
+/// [`PhysError::EmptyNetlist`] for a cell-less netlist,
+/// [`PhysError::DegenerateWire`] for a wire pin that names no cell, and
+/// [`PhysError::UnknownCell`] for the first cell the placement lacks.
 pub fn route(
     netlist: &Netlist,
     placement: &Placement,
@@ -184,13 +179,10 @@ fn route_with(
             });
         }
     }
-    if netlist.cells.is_empty() {
-        return Err(PhysError::EmptyNetlist);
-    }
-    for w in &netlist.wires {
-        if w.pins.len() < 2 {
-            return Err(PhysError::DegenerateWire { id: w.id });
-        }
+    netlist.check()?;
+    let placed = placement.x.len().min(placement.y.len());
+    if placed < netlist.cells.len() {
+        return Err(PhysError::UnknownCell { id: placed });
     }
 
     // Grid over the placement bounding box plus one bin of margin.
@@ -246,12 +238,10 @@ fn route_with(
     loop {
         let mut failed = Vec::new();
         for &wid in &pending {
-            let segments = mst_segments(&netlist.wires[wid].pins, placement)
-                .into_iter()
-                .map(|(a, b)| (bin_of(a), bin_of(b)));
-            let Some(seg_paths) = route_wire(
+            let [a, b] = netlist.wires[wid].pins;
+            let Some(mut path) = route_wire(
                 &mut grid,
-                segments,
+                (bin_of(a), bin_of(b)),
                 capacity,
                 options.congestion_penalty,
                 shortest_path,
@@ -261,14 +251,12 @@ fn route_with(
                 continue;
             };
             ncs_trace::add("route.commits", 1);
-            let mut length = 0.0;
-            for p in &seg_paths {
-                length += (p.len().saturating_sub(1)) as f64 * theta;
-            }
+            // The routing keeps every path: drop the slack its growth left.
+            path.shrink_to_fit();
             routed[wid] = Some(RoutedWire {
                 wire: wid,
-                path: seg_paths.concat(),
-                length_um: length,
+                length_um: path.len().saturating_sub(1) as f64 * theta,
+                path,
             });
         }
         if failed.is_empty() {
@@ -324,60 +312,44 @@ fn route_with(
     })
 }
 
-/// Routes one wire's segments (`(source bin, target bin)` pairs) in turn
-/// on the live grid, committing each path as soon as it is found. When a
-/// segment has no capacity-respecting path, the wire's committed segments
-/// roll back, so `None` leaves the grid exactly as it was. A segment that
-/// `dead_ends` separates fails without a search.
+/// Routes one wire from its source bin to its target bin on the live
+/// grid and commits the path. `None` leaves the grid as it was: the wire
+/// has no capacity-respecting path, or `dead_ends` separates its bins and
+/// it fails without a search.
 fn route_wire(
     grid: &mut Grid,
-    segments: impl IntoIterator<Item = ((usize, usize), (usize, usize))>,
+    (src, dst): ((usize, usize), (usize, usize)),
     capacity: usize,
     penalty: f64,
     shortest_path: SegmentSearch,
     dead_ends: &mut DeadEnds,
-) -> Option<Vec<Vec<(usize, usize)>>> {
-    let mut seg_paths: Vec<Vec<(usize, usize)>> = Vec::new();
-    for (src, dst) in segments {
-        if dead_ends.separates(grid.idx(src.0, src.1), grid.idx(dst.0, dst.1)) {
-            dead_ends.hits += 1;
-        } else {
-            dead_ends.settled.clear();
-            if let Some(path) =
-                shortest_path(grid, src, dst, capacity, penalty, &mut dead_ends.settled)
-            {
-                grid.commit(&path);
-                seg_paths.push(path);
-                continue;
-            }
-            // With nothing of this wire committed, the grid is the one at
-            // a wire boundary, and the failed search settled a whole
-            // component of it. A later segment's component would include
-            // edges that the rollback below frees, so it is not recorded.
-            if seg_paths.is_empty() {
-                dead_ends.record();
-            }
-        }
-        for path in &seg_paths {
-            grid.release(path);
-        }
+) -> Option<Vec<(usize, usize)>> {
+    if dead_ends.separates(grid.idx(src.0, src.1), grid.idx(dst.0, dst.1)) {
+        dead_ends.hits += 1;
         return None;
     }
-    Some(seg_paths)
+    dead_ends.settled.clear();
+    let Some(path) = shortest_path(grid, src, dst, capacity, penalty, &mut dead_ends.settled)
+    else {
+        // The failed search settled a whole component of the grid.
+        dead_ends.record();
+        return None;
+    };
+    grid.commit(&path);
+    Some(path)
 }
 
 /// The dead ends of the current capacity round: one label per grid bin,
 /// marking components of the routing graph that failed searches exhausted.
 ///
-/// A segment search that fails before its wire has committed anything
-/// settles the whole component of one pin (a sealed pin alone, or all
-/// that the start reaches), and [`DeadEnds::record`] gives those bins a
-/// fresh label. Within a round, usage at wire boundaries only grows (a
-/// wire either commits, or rolls back to the grid it started from), so
-/// components only split: a later component that meets an earlier
-/// labelled set lies inside it. A pin with a current label therefore has
-/// no path to a pin without that label until the capacity changes, and
-/// [`DeadEnds::separates`] answers such a segment without a search. A
+/// A failed search settles the whole component of one pin (a sealed pin
+/// alone, or all that the start reaches), and [`DeadEnds::record`] gives
+/// those bins a fresh label. Within a round, usage only grows (a wire
+/// either commits its path or leaves the grid as it was), so components
+/// only split: a later component that meets an earlier labelled set lies
+/// inside it. A pin with a current label therefore has no path to a pin
+/// without that label until the capacity changes, and
+/// [`DeadEnds::separates`] answers such a wire without a search. A
 /// relaxation starts a new round; labels below its base are stale.
 struct DeadEnds {
     /// Label of each bin.
@@ -386,9 +358,9 @@ struct DeadEnds {
     base: u32,
     /// Next fresh label.
     next: u32,
-    /// Bins the last segment search settled.
+    /// Bins the last search settled.
     settled: Vec<usize>,
-    /// Segment searches answered without searching.
+    /// Wires answered without searching.
     hits: u64,
 }
 
@@ -428,55 +400,12 @@ impl DeadEnds {
     }
 }
 
-/// Prim's minimum spanning tree over a wire's pins in the Manhattan
-/// metric, returned as `(from_cell, to_cell)` segments. Multi-pin nets
-/// routed along their MST use far less wire than naive pin chaining; a
-/// 2-pin wire yields its single segment unchanged.
-fn mst_segments(pins: &[CellId], placement: &Placement) -> Vec<(CellId, CellId)> {
-    if pins.len() < 2 {
-        return Vec::new();
-    }
-    let dist = |a: CellId, b: CellId| -> f64 {
-        (placement.x[a] - placement.x[b]).abs() + (placement.y[a] - placement.y[b]).abs()
-    };
-    let mut in_tree = vec![false; pins.len()];
-    let mut best_dist = vec![f64::INFINITY; pins.len()];
-    let mut best_parent = vec![0usize; pins.len()];
-    in_tree[0] = true;
-    for (i, &p) in pins.iter().enumerate().skip(1) {
-        best_dist[i] = dist(pins[0], p);
-    }
-    let mut segments = Vec::with_capacity(pins.len() - 1);
-    for _ in 1..pins.len() {
-        // One pin joins the tree per round, so a non-tree pin remains on
-        // every iteration; stop early instead of panicking if not.
-        let Some(next) = (0..pins.len())
-            .filter(|&i| !in_tree[i])
-            .min_by(|&a, &b| best_dist[a].total_cmp(&best_dist[b]))
-        else {
-            break;
-        };
-        in_tree[next] = true;
-        segments.push((pins[best_parent[next]], pins[next]));
-        for (i, &p) in pins.iter().enumerate() {
-            if !in_tree[i] {
-                let d = dist(pins[next], p);
-                if d < best_dist[i] {
-                    best_dist[i] = d;
-                    best_parent[i] = next;
-                }
-            }
-        }
-    }
-    segments
-}
-
 /// Persistent scratch for the maze search. The arrays cover the full
 /// grid but are *epoch-stamped*: bumping `epoch` invalidates every entry
-/// in O(1), so no per-segment reallocation or clearing ever happens — a
+/// in O(1), so no per-search reallocation or clearing ever happens — a
 /// node's `dist`/`closed` state is only meaningful where
 /// `stamp[node] == epoch`. One arena lives in a thread-local and is
-/// reused across segments, wires and `route()` calls; it grows
+/// reused across wires and `route()` calls; it grows
 /// monotonically to the largest grid routed on its thread.
 struct RouteScratch {
     epoch: u32,
@@ -839,13 +768,6 @@ impl Grid {
         }
     }
 
-    /// Rolls back an earlier [`Grid::commit`] of the same path.
-    fn release(&mut self, path: &[(usize, usize)]) {
-        for step in path.windows(2) {
-            *self.edge_use(step[0], step[1]) -= 1;
-        }
-    }
-
     /// Usage counter of the edge between the adjacent bins `a` and `b`.
     fn edge_use(&mut self, a: (usize, usize), b: (usize, usize)) -> &mut usize {
         if a.1 == b.1 {
@@ -1038,62 +960,12 @@ mod tests {
             .all(|rw| rw.length_um <= RouterOptions::default().theta * 2.0));
     }
 
-    #[test]
-    fn multi_pin_wire_routes_as_spanning_tree() {
-        // A 4-pin star: center cell at origin, three satellites. MST from
-        // the center is three spokes; chaining would detour through
-        // satellites.
-        let mapping = HybridMapping::new(4, vec![], vec![]);
-        let mut nl = Netlist::from_mapping(&mapping, &TechnologyModel::nm45());
-        nl.wires.push(crate::Wire {
-            id: 0,
-            pins: vec![0, 1, 2, 3],
-            weight: 1.0,
-        });
-        let placement = Placement {
-            x: vec![50.0, 10.0, 90.0, 50.0],
-            y: vec![50.0, 50.0, 50.0, 10.0],
-            outer_iterations: 0,
-            final_overlap_um2: 0.0,
-        };
-        let opts = RouterOptions::default();
-        let r = route(&nl, &placement, &TechnologyModel::nm45(), &opts).unwrap();
-        // Spokes: 40 + 40 + 40 = 120 um of Manhattan tree length; the
-        // grid quantizes, so allow a band. Chaining (1->0->2->3 order
-        // dependent) would cost noticeably more.
-        assert!(
-            r.total_wirelength_um <= 140.0,
-            "tree routing should be near 120 um, got {}",
-            r.total_wirelength_um
-        );
-    }
-
-    #[test]
-    fn mst_segments_cover_all_pins() {
-        let placement = Placement {
-            x: vec![0.0, 1.0, 5.0, 2.0, 9.0],
-            y: vec![0.0, 4.0, 1.0, 2.0, 9.0],
-            outer_iterations: 0,
-            final_overlap_um2: 0.0,
-        };
-        let pins = vec![0usize, 1, 2, 3, 4];
-        let segments = mst_segments(&pins, &placement);
-        assert_eq!(segments.len(), 4, "an MST over 5 pins has 4 edges");
-        let mut seen = std::collections::BTreeSet::new();
-        for (a, b) in segments {
-            seen.insert(a);
-            seen.insert(b);
-        }
-        assert_eq!(seen.len(), 5, "every pin participates");
-        assert!(mst_segments(&[7], &placement).is_empty());
-    }
-
     fn astar_path(grid: &Grid, src: (usize, usize), dst: (usize, usize)) -> Vec<(usize, usize)> {
         grid.shortest_path(src, dst, 8, 2.0, &mut Vec::new())
             .unwrap()
     }
 
-    /// [`route`] with every segment searched by the full-grid Dijkstra
+    /// [`route`] with every wire searched by the full-grid Dijkstra
     /// oracle instead of A*. The oracle reports no settled bins, so no
     /// dead end is ever recorded: every failure is a real search.
     fn route_dijkstra(nl: &Netlist, p: &Placement, options: &RouterOptions) -> Routing {
@@ -1153,45 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_wire_rolls_back_its_committed_segments() {
-        // A 3-pin wire on a grid with some prior usage: its first two
-        // segments route and commit, then the last one targets a pin whose
-        // four edges sit at the capacity. The wire must fail and leave
-        // every usage counter exactly as it was before it started.
-        let capacity = 2;
-        let mut grid = Grid::new(9, 9);
-        for c in 0..8 {
-            grid.commit(&[(c, 3), (c + 1, 3)]);
-        }
-        let sealed = (6, 6);
-        for other in [(5, 6), (7, 6), (6, 5), (6, 7)] {
-            for _ in 0..capacity {
-                grid.commit(&[sealed, other]);
-            }
-        }
-        let (h_before, v_before) = (grid.h_use.clone(), grid.v_use.clone());
-        let segments = [((1, 1), (4, 2)), ((4, 2), (2, 6)), ((2, 6), sealed)];
-        let search = Grid::shortest_path;
-        let mut dead_ends = DeadEnds::new(9 * 9);
-        let failed = route_wire(&mut grid, segments, capacity, 2.0, search, &mut dead_ends);
-        assert_eq!(failed, None, "the sealed pin cannot be reached");
-        assert_eq!(grid.h_use, h_before, "horizontal usage was not rolled back");
-        assert_eq!(grid.v_use, v_before, "vertical usage was not rolled back");
-        // The rollback undid real commits: on the same grid, the first two
-        // segments alone route and use edges.
-        let routed = route_wire(
-            &mut grid,
-            segments[..2].to_vec(),
-            capacity,
-            2.0,
-            search,
-            &mut dead_ends,
-        );
-        assert!(routed.is_some_and(|paths| paths.iter().all(|p| p.len() > 1)));
-        assert_ne!(grid.h_use, h_before);
-    }
-
-    #[test]
     fn astar_and_dijkstra_agree_bit_for_bit_per_segment() {
         // Exhaustive per-segment equivalence on a grid with uneven
         // congestion: every (src, dst) pair must yield the identical
@@ -1227,9 +1060,9 @@ mod tests {
     }
 
     #[test]
-    fn window_expands_when_congestion_forces_long_detours() {
+    fn a_long_detour_around_a_wall_matches_the_oracle() {
         // Wall off the direct corridor so the only path detours far
-        // outside the segment's bounding box; the search must still find
+        // outside the wire's bounding box; the search must still find
         // the same path as the oracle.
         let mut grid = Grid::new(30, 15);
         // Block the vertical edges of a wall at column 10 except row 14,
@@ -1275,26 +1108,23 @@ mod tests {
         // End-to-end equivalence under congestion and capacity
         // relaxation: the full Routing structure (paths, lengths,
         // congestion map, relaxations) of A* with dead ends must be
-        // bit-identical to the oracle's, which searches every segment.
-        // The shared-net netlist routes multi-pin wires at capacity 1, so
-        // segments commit, fail and roll back throughout.
+        // bit-identical to the oracle's, which searches every wire. At
+        // capacity 1, wires commit, fail and wait for relaxations.
         let (nl, p) = placed_netlist();
-        let net = generators::uniform_random(30, 0.06, 5).unwrap();
-        let mapping = full_crossbar(&net, 16).unwrap();
-        let shared = Netlist::from_mapping_shared(&mapping, &TechnologyModel::nm45());
-        assert!(shared.wires.iter().any(|w| w.pins.len() > 2));
-        let shared_p = place(&shared, &PlacerOptions::fast()).unwrap();
-        for (nl, p, virtual_capacity) in [(&nl, &p, 2), (&shared, &shared_p, 1)] {
+        for virtual_capacity in [2, 1] {
             let options = RouterOptions {
                 virtual_capacity,
                 ..RouterOptions::default()
             };
-            let astar = route(nl, p, &TechnologyModel::nm45(), &options).unwrap();
+            let astar = route(&nl, &p, &TechnologyModel::nm45(), &options).unwrap();
             assert_eq!(
                 astar,
-                route_dijkstra(nl, p, &options),
+                route_dijkstra(&nl, &p, &options),
                 "A* routing diverged from the oracle at capacity {virtual_capacity}"
             );
+            if virtual_capacity == 1 {
+                assert!(astar.relaxations > 0, "capacity 1 relaxed nothing");
+            }
         }
     }
 
@@ -1333,11 +1163,11 @@ mod tests {
         ((7, 4), (7, 5)),
     ];
 
-    /// A 10 × 8 grid whose `wall` edges each carry `load` wires. The
-    /// pocket's own edges stay free, so no pin in it is sealed.
-    fn pocket_grid(wall: &[Edge], load: usize) -> Grid {
+    /// A 10 × 8 grid whose [`POCKET_WALL`] edges each carry `load` wires.
+    /// The pocket's own edges stay free, so no pin in it is sealed.
+    fn pocket_grid(load: usize) -> Grid {
         let mut grid = Grid::new(10, 8);
-        for &(inside, outside) in wall {
+        for &(inside, outside) in &POCKET_WALL {
             for _ in 0..load {
                 grid.commit(&[inside, outside]);
             }
@@ -1353,74 +1183,30 @@ mod tests {
         // a wire inside the pocket still searches and routes. After one
         // relaxation opens the pocket, both wires into it route.
         let capacity = 2;
-        let mut grid = pocket_grid(&POCKET_WALL, capacity);
+        let mut grid = pocket_grid(capacity);
         let mut dead_ends = DeadEnds::new(10 * 8);
-        let first = [((1, 1), (6, 3))];
-        let second = [((2, 6), (7, 4))];
+        let first = ((1, 1), (6, 3));
+        let second = ((2, 6), (7, 4));
         let base = searches();
-        let wire = |grid: &mut Grid, dead_ends: &mut DeadEnds, segments: &[_], capacity| {
-            route_wire(
-                grid,
-                segments.to_vec(),
-                capacity,
-                2.0,
-                counted_search,
-                dead_ends,
-            )
+        let wire = |grid: &mut Grid, dead_ends: &mut DeadEnds, bins, capacity| {
+            route_wire(grid, bins, capacity, 2.0, counted_search, dead_ends)
         };
-        assert_eq!(wire(&mut grid, &mut dead_ends, &first, capacity), None);
+        assert_eq!(wire(&mut grid, &mut dead_ends, first, capacity), None);
         assert_eq!(searches() - base, 1, "the first wire searches");
-        assert_eq!(wire(&mut grid, &mut dead_ends, &second, capacity), None);
+        assert_eq!(wire(&mut grid, &mut dead_ends, second, capacity), None);
         assert_eq!(searches() - base, 1, "the dead end answers the second");
         assert_eq!(dead_ends.hits, 1);
-        let inner = [((6, 3), (7, 4))];
-        assert!(wire(&mut grid, &mut dead_ends, &inner, capacity).is_some());
+        let inner = ((6, 3), (7, 4));
+        assert!(wire(&mut grid, &mut dead_ends, inner, capacity).is_some());
         assert_eq!(searches() - base, 2, "a wire inside the pocket searches");
         // Relax: the pocket's boundary edges are usable again.
         dead_ends.relax();
         let relaxed = capacity + 1;
-        for segments in [first, second] {
-            let (src, dst) = segments[0];
+        for (src, dst) in [first, second] {
             let oracle = grid.dijkstra_path(src, dst, relaxed, 2.0);
             assert!(oracle.is_some(), "the relaxed pocket is open");
-            let paths = wire(&mut grid, &mut dead_ends, &segments, relaxed);
-            assert_eq!(paths, oracle.map(|path| vec![path]), "{src:?} -> {dst:?}");
+            let path = wire(&mut grid, &mut dead_ends, (src, dst), relaxed);
+            assert_eq!(path, oracle, "{src:?} -> {dst:?}");
         }
-    }
-
-    #[test]
-    fn a_later_segments_failure_leaves_no_dead_end() {
-        // At capacity 1 the pocket has one way in, the wall's first edge;
-        // the others are saturated. A 3-pin wire's first segment enters
-        // the pocket and takes that entrance; its second segment, from
-        // inside the pocket, then fails. The failure is not recorded: the
-        // rollback frees the entrance, and a second wire into the pocket
-        // must still route through it.
-        let capacity = 1;
-        let mut grid = pocket_grid(&POCKET_WALL[1..], capacity);
-        let mut dead_ends = DeadEnds::new(10 * 8);
-        let three_pin = [((1, 3), (6, 3)), ((6, 3), (1, 6))];
-        let failed = route_wire(
-            &mut grid,
-            three_pin,
-            capacity,
-            2.0,
-            Grid::shortest_path,
-            &mut dead_ends,
-        );
-        assert_eq!(failed, None, "the entrance is taken by the first segment");
-        let into_pocket = [((2, 5), (7, 4))];
-        let oracle = grid.dijkstra_path((2, 5), (7, 4), capacity, 2.0);
-        assert!(oracle.is_some(), "the rollback reopened the entrance");
-        let routed = route_wire(
-            &mut grid,
-            into_pocket,
-            capacity,
-            2.0,
-            Grid::shortest_path,
-            &mut dead_ends,
-        );
-        assert_eq!(routed, oracle.map(|path| vec![path]));
-        assert_eq!(dead_ends.hits, 0);
     }
 }

@@ -278,11 +278,23 @@ fn phys_unroutable_when_capacity_cannot_relax() {
 }
 
 #[test]
+fn phys_unknown_cell_from_router_on_a_short_placement() {
+    let (nl, mut p) = placed_small();
+    let last = nl.cells.len() - 1;
+    p.y.truncate(last);
+    let e = route(&nl, &p, &TechnologyModel::nm45(), &RouterOptions::default()).unwrap_err();
+    assert_eq!(e, PhysError::UnknownCell { id: last });
+    p.x.truncate(last - 1);
+    let e = route(&nl, &p, &TechnologyModel::nm45(), &RouterOptions::default()).unwrap_err();
+    assert_eq!(e, PhysError::UnknownCell { id: last - 1 });
+}
+
+#[test]
 fn phys_degenerate_wire_rejected_by_placer_and_router() {
     let (mut nl, p) = placed_small();
     nl.wires.push(Wire {
         id: nl.wires.len(),
-        pins: vec![0],
+        pins: [999, 0],
         weight: 1.0,
     });
     let bad_id = nl.wires.len() - 1;
@@ -290,7 +302,7 @@ fn phys_degenerate_wire_rejected_by_placer_and_router() {
     assert_eq!(e, PhysError::DegenerateWire { id: bad_id });
     assert_eq!(
         e.to_string(),
-        format!("wire {bad_id} has fewer than two pins")
+        format!("wire {bad_id} has a pin that names no cell")
     );
     let e = route(&nl, &p, &TechnologyModel::nm45(), &RouterOptions::default()).unwrap_err();
     assert_eq!(e, PhysError::DegenerateWire { id: bad_id });

@@ -1,12 +1,10 @@
 //! Cross-crate integration: ISC mapping → analog crossbar programming →
-//! hardware-in-the-loop recall, plus the shared-net netlist model.
+//! hardware-in-the-loop recall.
 
 use autoncs::hw::{EvaluationMode, HardwareModel};
 use autoncs::AutoNcs;
 use ncs_cluster::{CrossbarSizeSet, IscOptions};
 use ncs_net::{Testbench, TestbenchSpec};
-use ncs_phys::Netlist;
-use ncs_tech::TechnologyModel;
 use ncs_xbar::{program_write_verify, DeviceModel, ProgrammingScheme};
 
 fn framework() -> AutoNcs {
@@ -98,31 +96,4 @@ fn write_verify_programming_supports_whole_mapping() {
             report.max_residual
         );
     }
-}
-
-#[test]
-fn shared_net_model_never_costs_more_wire() {
-    // A denser workload guarantees outliers and neurons spanning several
-    // devices, so shared nets genuinely fold wires; the invariant itself
-    // (shared ≤ pairwise) holds for any mapping.
-    let net = ncs_net::generators::uniform_random(80, 0.10, 3).unwrap();
-    let (mapping, _) = framework().map(&net).unwrap();
-    let tech = TechnologyModel::nm45();
-    let pairwise = Netlist::from_mapping(&mapping, &tech);
-    let shared = Netlist::from_mapping_shared(&mapping, &tech);
-    assert!(shared.wires.len() <= pairwise.wires.len());
-    assert!(
-        !mapping.outliers().is_empty(),
-        "workload should produce outliers so folding is exercised"
-    );
-    assert!(
-        shared.wires.len() < pairwise.wires.len(),
-        "folding should fire here"
-    );
-    let p = ncs_phys::place(&shared, &ncs_phys::PlacerOptions::fast()).unwrap();
-    let r_shared =
-        ncs_phys::route(&shared, &p, &tech, &ncs_phys::RouterOptions::default()).unwrap();
-    let r_pair =
-        ncs_phys::route(&pairwise, &p, &tech, &ncs_phys::RouterOptions::default()).unwrap();
-    assert!(r_shared.total_wirelength_um <= r_pair.total_wirelength_um);
 }
