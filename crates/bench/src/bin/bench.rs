@@ -27,10 +27,7 @@
 
 use autoncs::AutoNcs;
 use ncs_bench::{report_artifact, testbench, BenchGroup, SEED};
-use ncs_cluster::{
-    full_crossbar, gcp, msc, spectral_embedding, traversing, CompressionOptions, GcpOptions,
-    GroupDeletionOptions, Isc, IscOptions,
-};
+use ncs_cluster::{full_crossbar, gcp, msc, spectral_embedding, traversing, Isc, IscOptions};
 use ncs_linalg::optimize::{minimize, CgOptions};
 use ncs_linalg::{DenseMatrix, SymmetricEigen};
 use ncs_net::{generators, HopfieldNetwork, PatternSet, Testbench, TestbenchSpec};
@@ -90,17 +87,7 @@ fn clustering() {
         group.bench(&format!("msc/{n}"), || msc(&net, k, SEED).unwrap());
     }
     let net = testbench(2).network().clone();
-    group.bench("gcp_vs_traversing/gcp", || {
-        gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 64,
-                seed: SEED,
-                ..GcpOptions::default()
-            },
-        )
-        .unwrap()
-    });
+    group.bench("gcp_vs_traversing/gcp", || gcp(&net, 64, SEED).unwrap());
     group.bench("gcp_vs_traversing/traversing", || {
         traversing(&net, 64, SEED).unwrap()
     });
@@ -364,11 +351,11 @@ fn place_hot_path() {
 }
 
 /// Scale benches for the sparse-first pipeline: generate a block-sparse
-/// network and map it (ISC with Group-Scissor compression: rank clipping
-/// plus group connection deletion) at 2k-20k neurons. Writes a bespoke
-/// `results/BENCH_scale.json` carrying, per size, the gen/map medians,
-/// the connection count, the peak RSS of the map run (VmHWM, reset
-/// between sizes), and the footprint a dense `8n²` matrix would have
+/// network and map it (ISC with the flow's own options, at the bench
+/// seed) at 2k-20k neurons. Writes a bespoke `results/BENCH_scale.json`
+/// carrying, per size, the gen/map medians, the connection count, the
+/// mapping's crossbars and outliers, the peak RSS of the map run (VmHWM,
+/// reset between sizes), and the footprint a dense `8n²` matrix would have
 /// needed — `scripts/check_bench_scale.py` gates a sub-quadratic
 /// wall-clock fit and an O(nnz)-style memory bound on that file. Sizes
 /// run in ascending order so the watermark is meaningful even where the
@@ -386,10 +373,6 @@ fn scale() {
     let mut group = BenchGroup::new("scale").samples(samples).warmup(0);
     let opts = IscOptions {
         seed: SEED,
-        compression: CompressionOptions {
-            rank_clip: Some(48),
-            group_deletion: Some(GroupDeletionOptions::default()),
-        },
         ..IscOptions::default()
     };
     let mut rows = String::new();

@@ -23,7 +23,7 @@
 //!   reliability crossbar size vs analog accuracy (the Section 2.1
 //!            64x64-limit rationale, paper ref \[6\])
 //!   dnn      intro-scale workload: a deep layered network with thousands
-//!            of neurons, clustered with the sparse Lanczos backend
+//!            of neurons, which ISC embeds with Lanczos
 //!   all      everything above
 //! ```
 
@@ -32,9 +32,7 @@ use std::time::Instant;
 use autoncs::{plot, AutoNcs, CostTable};
 use ncs_bench::{report_artifact, testbench, write_ppm, write_text, SEED};
 use ncs_cluster::stats::{FaninFanoutProfile, MappingComparison};
-use ncs_cluster::{
-    full_crossbar, gcp, msc, traversing, CpModel, EigenBackend, GcpOptions, Isc, IscOptions,
-};
+use ncs_cluster::{full_crossbar, gcp, msc, traversing, CpModel, Isc, IscOptions};
 use ncs_net::ConnectionMatrix;
 use ncs_phys::Netlist;
 
@@ -111,15 +109,7 @@ fn fig4() {
     println!("[fig4] GCP vs traversing at size cap 64");
     let net = fig_network();
     let t0 = Instant::now();
-    let g = gcp(
-        &net,
-        &GcpOptions {
-            max_cluster_size: 64,
-            seed: SEED,
-            ..GcpOptions::default()
-        },
-    )
-    .expect("GCP");
+    let g = gcp(&net, 64, SEED).expect("GCP");
     let gcp_time = t0.elapsed();
     let t1 = Instant::now();
     let t = traversing(&net, 64, SEED).expect("traversing");
@@ -166,15 +156,7 @@ fn fig4() {
 fn fig5() {
     println!("[fig5] re-clustering the remaining network");
     let net = fig_network();
-    let clustering = gcp(
-        &net,
-        &GcpOptions {
-            max_cluster_size: 64,
-            seed: SEED,
-            ..GcpOptions::default()
-        },
-    )
-    .expect("GCP");
+    let clustering = gcp(&net, 64, SEED).expect("GCP");
     let mut remaining = net.clone();
     for members in clustering.iter() {
         remaining.remove_within(members);
@@ -188,15 +170,7 @@ fn fig5() {
         "fig5a_outliers.ppm",
         &plot::connection_matrix(&remaining),
     ));
-    let second = gcp(
-        &remaining,
-        &GcpOptions {
-            max_cluster_size: 64,
-            seed: SEED + 1,
-            ..GcpOptions::default()
-        },
-    )
-    .expect("GCP on remaining network");
+    let second = gcp(&remaining, 64, SEED + 1).expect("GCP on remaining network");
     println!(
         "  after another MSC+GCP round: outlier ratio {:.1}% of the remaining network",
         second.outlier_ratio(&remaining) * 100.0
@@ -457,17 +431,16 @@ fn ablation() {
 
 /// Intro-scale workload: the paper motivates AutoNCS with deep networks
 /// of "more than 4000 input nodes". This maps a five-layer sparse network
-/// with thousands of neurons using the Lanczos eigensolver backend (the
-/// dense O(n^3) path would dominate runtime at this size).
+/// of 2,500 neurons with the flow's own ISC options, which embed a network
+/// this size with Lanczos (the dense O(n^3) path would dominate runtime).
 fn dnn() {
-    println!("[dnn] intro-scale deep network with the Lanczos backend");
+    println!("[dnn] intro-scale deep network, Lanczos-embedded");
     let layers = [1000usize, 800, 400, 200, 100];
     let (net, _) = ncs_net::generators::layered(&layers, 0.02, SEED).expect("layered network");
     println!("  layers {layers:?} -> {net}");
     let t0 = Instant::now();
     let opts = IscOptions {
         seed: SEED,
-        eigensolver: EigenBackend::Lanczos { oversample: 16 },
         ..IscOptions::default()
     };
     let (mapping, trace) = Isc::new(opts).run_traced(&net).expect("ISC with Lanczos");

@@ -37,12 +37,6 @@ pub enum ClusterError {
         /// Largest `k` tried.
         max_k: usize,
     },
-    /// An iteration budget of zero was requested — the algorithm would
-    /// produce no assignment at all.
-    InvalidIterationBudget {
-        /// Which option carried the zero budget.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -68,9 +62,6 @@ impl fmt::Display for ClusterError {
             ClusterError::Net(e) => write!(f, "network failure: {e}"),
             ClusterError::TraversingBudgetExceeded { max_k } => {
                 write!(f, "traversing baseline exhausted its budget at k = {max_k}")
-            }
-            ClusterError::InvalidIterationBudget { what } => {
-                write!(f, "iteration budget {what} must be at least 1")
             }
         }
     }

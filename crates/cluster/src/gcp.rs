@@ -1,13 +1,9 @@
 use ncs_linalg::DenseMatrix;
 use ncs_net::ConnectionMatrix;
 
-use crate::isc::AUTO_OVERSAMPLE;
 use crate::kmeans::kmeans_with_centroids;
-use crate::msc::EmbeddingSource;
-use crate::{
-    kmeans, spectral_embedding, spectral_embedding_partial, ClusterError, Clustering,
-    DENSE_EIGEN_MAX_N,
-};
+use crate::msc::{embedding_width, EmbeddingSource};
+use crate::{kmeans, ClusterError, Clustering};
 
 /// Above this neuron count GCP skips the global k-means and produces the
 /// clustering purely by recursive bisection of oversize clusters —
@@ -16,34 +12,12 @@ use crate::{
 /// small-flow results are untouched.
 pub(crate) const GCP_BISECTION_MIN_N: usize = 1024;
 
-/// Column cap for the standalone [`gcp`] sparse embedding; bounds the
-/// O(n·width) embedding memory when the predicted cluster count is large.
-const GCP_SPARSE_EMBED_MAX: usize = 128;
+/// Outer (re-embedding) iterations before GCP keeps its current
+/// clustering, which the inner split loop has already made size-feasible.
+const GCP_MAX_OUTER_ITERATIONS: usize = 16;
 
-/// Options for [`gcp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcpOptions {
-    /// Maximum allowed cluster size `s` (the largest available crossbar).
-    pub max_cluster_size: usize,
-    /// RNG seed for k-means initialization.
-    pub seed: u64,
-    /// Safety cap on outer (re-embedding) iterations; after this the
-    /// current clustering is split-enforced without further k-means.
-    pub max_outer_iterations: usize,
-    /// Lloyd iteration budget per k-means call.
-    pub kmeans_iterations: usize,
-}
-
-impl Default for GcpOptions {
-    fn default() -> Self {
-        GcpOptions {
-            max_cluster_size: 64,
-            seed: 0,
-            max_outer_iterations: 16,
-            kmeans_iterations: 100,
-        }
-    }
-}
+/// Lloyd iteration budget per k-means call.
+const GCP_KMEANS_ITERATIONS: usize = 100;
 
 /// **Greedy Cluster size Prediction** (Algorithm 2).
 ///
@@ -67,58 +41,45 @@ impl Default for GcpOptions {
 ///
 /// ```
 /// use ncs_net::generators;
-/// use ncs_cluster::{gcp, GcpOptions};
+/// use ncs_cluster::gcp;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let (net, _) = generators::planted_clusters(120, 2, 0.5, 0.02, 3)?;
-/// let opts = GcpOptions { max_cluster_size: 40, ..GcpOptions::default() };
-/// let clustering = gcp(&net, &opts)?;
+/// let clustering = gcp(&net, 40, 0)?;
 /// assert!(clustering.max_cluster_size() <= 40);
 /// # Ok(())
 /// # }
 /// ```
-pub fn gcp(net: &ConnectionMatrix, options: &GcpOptions) -> Result<Clustering, ClusterError> {
-    let n = net.neurons();
-    if n > DENSE_EIGEN_MAX_N {
-        if options.max_cluster_size == 0 {
-            return Err(ClusterError::InvalidSizeLimit { limit: 0 });
-        }
-        // Width budget: enough columns for the predicted cluster count plus
-        // the usual Lanczos oversampling headroom, hard-capped so the
-        // embedding stays O(n), not O(n·k).
-        let k = n.div_ceil(options.max_cluster_size).max(1);
-        let width = (2 * k + AUTO_OVERSAMPLE).min(GCP_SPARSE_EMBED_MAX).min(n);
-        let u = spectral_embedding_partial(net, width, options.seed)?;
-        return gcp_from_embedding(&EmbeddingSource::Partial(u), n, options);
+pub fn gcp(
+    net: &ConnectionMatrix,
+    max_cluster_size: usize,
+    seed: u64,
+) -> Result<Clustering, ClusterError> {
+    if max_cluster_size == 0 {
+        return Err(ClusterError::InvalidSizeLimit { limit: 0 });
     }
-    let eig = spectral_embedding(net)?;
-    gcp_from_embedding(&EmbeddingSource::Dense(eig), n, options)
+    let n = net.neurons();
+    let width = embedding_width(n, max_cluster_size);
+    let source = EmbeddingSource::new(net, width, seed, None)?;
+    gcp_from_embedding(&source, n, max_cluster_size, seed)
 }
 
-/// GCP on a precomputed spectral embedding (shared with ISC, which
-/// re-embeds the shrinking remainder network itself — densely or via
-/// Lanczos).
+/// GCP with size limit `s ≥ 1` on a precomputed spectral embedding
+/// (shared with ISC, which re-embeds the shrinking remainder itself).
 pub(crate) fn gcp_from_embedding(
     source: &EmbeddingSource,
     n: usize,
-    options: &GcpOptions,
+    s: usize,
+    seed: u64,
 ) -> Result<Clustering, ClusterError> {
-    let s = options.max_cluster_size;
-    if s == 0 {
-        return Err(ClusterError::InvalidSizeLimit { limit: 0 });
-    }
-    if options.max_outer_iterations == 0 {
-        return Err(ClusterError::InvalidIterationBudget {
-            what: "max_outer_iterations",
-        });
-    }
     if n >= GCP_BISECTION_MIN_N {
-        return gcp_bisection(source, n, options);
+        return Ok(gcp_bisection(source, n, s));
     }
     // Step 2: predicted cluster count k = n / s (at least 1).
     let mut k = n.div_ceil(s).max(1);
     let mut assignment: Option<Vec<usize>> = None;
-    for outer in 0..options.max_outer_iterations {
+    let mut clusters = Vec::new();
+    for outer in 0..GCP_MAX_OUTER_ITERATIONS {
         let u = source.embedding(k.min(n));
         // Centroids: warm-start from the previous assignment when
         // available, otherwise k-means++ on the current embedding.
@@ -126,15 +87,15 @@ pub(crate) fn gcp_from_embedding(
             None => kmeans(
                 &u,
                 k.min(n),
-                options.seed.wrapping_add(outer as u64),
-                options.kmeans_iterations,
+                seed.wrapping_add(outer as u64),
+                GCP_KMEANS_ITERATIONS,
             )?,
             Some(prev) => {
                 let centroids = centroids_from_assignment(&u, prev, k.min(n));
-                kmeans_with_centroids(&u, centroids, options.kmeans_iterations)?
+                kmeans_with_centroids(&u, centroids, GCP_KMEANS_ITERATIONS)?
             }
         };
-        let mut clusters = clusters_of(&result.assignment, k.min(n));
+        clusters = clusters_of(&result.assignment, k.min(n));
         // Inner loop: split every oversize cluster into two sub-clusters.
         let mut flag_outer = false;
         loop {
@@ -142,7 +103,7 @@ pub(crate) fn gcp_from_embedding(
             let mut j = 0;
             while j < clusters.len() {
                 if clusters[j].len() > s {
-                    let (a, b) = bisect(&u, &clusters[j], options.seed.wrapping_add(j as u64));
+                    let (a, b) = bisect(&u, &clusters[j], seed.wrapping_add(j as u64));
                     clusters[j] = a;
                     clusters.push(b);
                     ncs_trace::add("gcp.splits", 1);
@@ -166,19 +127,10 @@ pub(crate) fn gcp_from_embedding(
         assignment = Some(assign);
         if !flag_outer {
             ncs_trace::record("gcp.outer_iterations", (outer + 1) as u64);
-            return Ok(Clustering::new(clusters, n));
+            break;
         }
     }
-    // Outer budget exhausted: the last assignment is already size-feasible
-    // because the inner loop ran to completion. `assignment` is `Some`
-    // whenever at least one outer iteration ran, which the budget check
-    // above guarantees — but keep the degenerate path an error, not a panic.
-    let Some(assignment) = assignment else {
-        return Err(ClusterError::InvalidIterationBudget {
-            what: "max_outer_iterations",
-        });
-    };
-    Ok(Clustering::from_assignment(&assignment, k))
+    Ok(Clustering::new(clusters, n))
 }
 
 /// Split-only GCP for large networks: start from a single all-neuron
@@ -191,12 +143,7 @@ pub(crate) fn gcp_from_embedding(
 /// balanced cut shrinks every part geometrically. Total work is
 /// O(n·d·log(n/s)).
 // ncs-lint: hot
-fn gcp_bisection(
-    source: &EmbeddingSource,
-    n: usize,
-    options: &GcpOptions,
-) -> Result<Clustering, ClusterError> {
-    let s = options.max_cluster_size;
+fn gcp_bisection(source: &EmbeddingSource, n: usize, s: usize) -> Clustering {
     let u = source.embedding(source.max_k());
     let mut clusters: Vec<Vec<usize>> = vec![(0..n).collect()];
     let mut j = 0;
@@ -211,7 +158,7 @@ fn gcp_bisection(
         }
     }
     ncs_trace::record("gcp.outer_iterations", 1);
-    Ok(Clustering::new(clusters, n))
+    Clustering::new(clusters, n)
 }
 
 /// Deterministic balanced spectral cut: orders `members` by their
@@ -333,14 +280,7 @@ mod tests {
     fn respects_size_limit() {
         let net = generators::uniform_random(150, 0.06, 5).unwrap();
         for limit in [16usize, 32, 64] {
-            let c = gcp(
-                &net,
-                &GcpOptions {
-                    max_cluster_size: limit,
-                    ..GcpOptions::default()
-                },
-            )
-            .unwrap();
+            let c = gcp(&net, limit, 0).unwrap();
             assert!(
                 c.max_cluster_size() <= limit,
                 "limit {limit} violated: {}",
@@ -354,27 +294,13 @@ mod tests {
     #[test]
     fn zero_limit_rejected() {
         let net = ConnectionMatrix::from_pairs(4, [(0, 1)]).unwrap();
-        assert!(gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 0,
-                ..GcpOptions::default()
-            }
-        )
-        .is_err());
+        assert!(gcp(&net, 0, 0).is_err());
     }
 
     #[test]
     fn limit_above_n_keeps_structure() {
         let (net, _) = generators::planted_clusters(40, 2, 0.6, 0.01, 1).unwrap();
-        let c = gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 100,
-                ..GcpOptions::default()
-            },
-        )
-        .unwrap();
+        let c = gcp(&net, 100, 0).unwrap();
         // No size pressure: expect very few clusters and low outliers.
         assert!(c.len() <= 4);
         assert!(c.outlier_ratio(&net) < 0.2);
@@ -383,14 +309,7 @@ mod tests {
     #[test]
     fn preserves_community_quality_under_limit() {
         let (net, _) = generators::planted_clusters(120, 4, 0.5, 0.01, 9).unwrap();
-        let c = gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 30,
-                ..GcpOptions::default()
-            },
-        )
-        .unwrap();
+        let c = gcp(&net, 30, 0).unwrap();
         assert!(c.max_cluster_size() <= 30);
         assert!(
             c.outlier_ratio(&net) < 0.35,
@@ -402,13 +321,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let net = generators::uniform_random(60, 0.08, 2).unwrap();
-        let opts = GcpOptions {
-            max_cluster_size: 20,
-            seed: 3,
-            ..GcpOptions::default()
-        };
-        let a = gcp(&net, &opts).unwrap();
-        let b = gcp(&net, &opts).unwrap();
+        let a = gcp(&net, 20, 3).unwrap();
+        let b = gcp(&net, 20, 3).unwrap();
         assert_eq!(a, b);
     }
 
@@ -417,11 +331,7 @@ mod tests {
         // n = 1100 clears both DENSE_EIGEN_MAX_N (sparse embedding) and
         // GCP_BISECTION_MIN_N (split-only clustering).
         let (net, _) = generators::block_sparse(1100, 64, 0.4, 1, 5).unwrap();
-        let opts = GcpOptions {
-            max_cluster_size: 64,
-            ..GcpOptions::default()
-        };
-        let (c, events) = ncs_trace::capture(|| gcp(&net, &opts).unwrap());
+        let (c, events) = ncs_trace::capture(|| gcp(&net, 64, 0).unwrap());
         assert!(c.max_cluster_size() <= 64);
         assert_eq!(c.sizes().iter().sum::<usize>(), 1100);
         let report = ncs_trace::TraceReport::from_events(&events);
@@ -441,7 +351,7 @@ mod tests {
             "embedding above DENSE_EIGEN_MAX_N must be Lanczos-driven"
         );
         // Deterministic per seed.
-        let again = gcp(&net, &opts).unwrap();
+        let again = gcp(&net, 64, 0).unwrap();
         assert_eq!(c, again);
     }
 

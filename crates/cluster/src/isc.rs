@@ -2,60 +2,11 @@ use ncs_linalg::DenseMatrix;
 use ncs_net::ConnectionMatrix;
 
 use crate::gcp::gcp_from_embedding;
-use crate::msc::EmbeddingSource;
+use crate::msc::{embedding_width, EmbeddingSource};
 use crate::{
-    crossbar_preference, full_crossbar, group_connection_deletion, min_satisfiable_size,
-    spectral_embedding, spectral_embedding_partial_warm, ClusterError, CompressionOptions, CpModel,
-    CrossbarAssignment, CrossbarSizeSet, GcpOptions, HybridMapping, DENSE_EIGEN_MAX_N,
+    crossbar_preference, full_crossbar, min_satisfiable_size, ClusterError, CpModel,
+    CrossbarAssignment, CrossbarSizeSet, HybridMapping,
 };
-
-/// Which eigensolver backs the per-iteration spectral embedding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EigenBackend {
-    /// Pick per network size: [`EigenBackend::Dense`] at or below
-    /// [`DENSE_EIGEN_MAX_N`] neurons (the bit-pinned reference path, and
-    /// where the paper's 300-500 neuron testbenches land), the sparse
-    /// [`EigenBackend::Lanczos`] path (with [`AUTO_OVERSAMPLE`] extra
-    /// columns) above it. The default: small flows stay exactly as
-    /// before, large flows never densify.
-    #[default]
-    Auto,
-    /// Full dense decomposition — exact, `O(n³)`; right for the paper's
-    /// 300-500 neuron testbenches.
-    Dense,
-    /// Sparse Lanczos partial decomposition — `O(k·nnz + k²·n)`; right for
-    /// the thousands-of-neurons workloads the paper's introduction
-    /// motivates. `oversample` extra embedding columns are computed beyond
-    /// twice the predicted cluster count so GCP's splits rarely exhaust
-    /// the budget (the embedding saturates gracefully if they do).
-    Lanczos {
-        /// Extra eigenvector columns beyond `2 · ⌈n / max_size⌉`.
-        oversample: usize,
-    },
-}
-
-/// Lanczos oversample used when [`EigenBackend::Auto`] routes a network
-/// above [`DENSE_EIGEN_MAX_N`] onto the sparse path.
-pub const AUTO_OVERSAMPLE: usize = 8;
-
-impl EigenBackend {
-    /// The concrete backend `Auto` routes an `n`-neuron network to
-    /// (identity on the explicit variants).
-    pub fn resolve(self, n: usize) -> EigenBackend {
-        match self {
-            EigenBackend::Auto => {
-                if n <= DENSE_EIGEN_MAX_N {
-                    EigenBackend::Dense
-                } else {
-                    EigenBackend::Lanczos {
-                        oversample: AUTO_OVERSAMPLE,
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-}
 
 /// Options for [`Isc`].
 #[derive(Debug, Clone, PartialEq)]
@@ -84,21 +35,6 @@ pub struct IscOptions {
     /// our regenerated testbenches the literal check fires several
     /// iterations early, so it defaults to `false`.
     pub quantile_size_stop: bool,
-    /// Eigensolver backing each iteration's spectral embedding.
-    pub eigensolver: EigenBackend,
-    /// Whether the [`EigenBackend::Lanczos`] path seeds each iteration's
-    /// Krylov basis with the previous iteration's embedding (connection
-    /// removal perturbs the Laplacian only mildly, so the previous Ritz
-    /// vectors are near-invariant directions), and reuses the embedding
-    /// verbatim when an iteration removed nothing. Has no effect on the
-    /// [`EigenBackend::Dense`] path.
-    pub warm_start: bool,
-    /// GCP inner options (size limit is overridden with `sizes.max()`).
-    pub gcp: GcpOptions,
-    /// Group-Scissor-style compression (rank clipping + group connection
-    /// deletion), **off by default**. See
-    /// [`CompressionOptions`](crate::CompressionOptions).
-    pub compression: CompressionOptions,
 }
 
 impl Default for IscOptions {
@@ -111,10 +47,6 @@ impl Default for IscOptions {
             seed: 0,
             max_iterations: 64,
             quantile_size_stop: false,
-            eigensolver: EigenBackend::default(),
-            warm_start: true,
-            gcp: GcpOptions::default(),
-            compression: CompressionOptions::default(),
         }
     }
 }
@@ -166,6 +98,16 @@ pub struct IscTrace {
     pub threshold: f64,
 }
 
+/// How ISC embeds each iteration's remainder, given the network, the
+/// Lanczos width, the seed and the previous Lanczos embedding:
+/// [`EmbeddingSource::new`] outside the tests.
+type Embed = fn(
+    &ConnectionMatrix,
+    usize,
+    u64,
+    Option<&DenseMatrix>,
+) -> Result<EmbeddingSource, ClusterError>;
+
 /// Mirrors one completed [`IscIteration`] onto the `ncs-trace` counters,
 /// so the observability stream and the returned [`IscTrace`] are derived
 /// from the same bookkeeping (one source of truth, never two tallies).
@@ -186,7 +128,9 @@ fn trace_iteration(rec: &IscIteration) {
 /// low-CP clusters in the pool lets their connections merge with
 /// yet-unclustered ones in later rounds. Iteration stops when the
 /// freshly-placed crossbars' average utilization drops below `t`; whatever
-/// remains becomes discrete synapses.
+/// remains becomes discrete synapses. Above
+/// [`DENSE_EIGEN_MAX_N`](crate::DENSE_EIGEN_MAX_N) neurons each embedding
+/// is a Lanczos solve warm-started from the previous iteration's.
 ///
 /// # Examples
 ///
@@ -238,6 +182,17 @@ impl Isc {
         &self,
         net: &ConnectionMatrix,
     ) -> Result<(HybridMapping, IscTrace), ClusterError> {
+        self.run_with(net, EmbeddingSource::new)
+    }
+
+    /// [`Isc::run_traced`] with the per-iteration embedding as a
+    /// parameter, so the tests can run the loop on Lanczos at any size and
+    /// without warm starts.
+    fn run_with(
+        &self,
+        net: &ConnectionMatrix,
+        embed: Embed,
+    ) -> Result<(HybridMapping, IscTrace), ClusterError> {
         let _span = ncs_trace::span("cluster.isc");
         let opts = &self.options;
         if !(0.0..=1.0).contains(&opts.selection_quantile) {
@@ -253,34 +208,14 @@ impl Isc {
             None => full_crossbar(net, opts.sizes.max())?.average_utilization(),
         };
         let total = net.connections();
-        // Optional Group-Scissor stage: connections in sparse group blocks
-        // are routed as discrete synapses up front, so clustering only
-        // works the dense cores. Coverage is preserved — the deleted
-        // connections join the outlier list below.
-        let (mut remaining, pre_deleted) = match &opts.compression.group_deletion {
-            Some(gd) => {
-                let (compressed, report) = group_connection_deletion(net, gd)?;
-                ncs_trace::add("compress.groups_deleted", report.groups_deleted as u64);
-                ncs_trace::add("compress.connections_deleted", report.deleted.len() as u64);
-                (compressed, report.deleted)
-            }
-            None => (net.clone(), Vec::new()),
-        };
-        let backend = opts.eigensolver.resolve(net.neurons());
+        let mut remaining = net.clone();
         let mut crossbars: Vec<CrossbarAssignment> = Vec::new();
         let mut iterations = Vec::new();
         let mut stop_reason = StopReason::IterationBudget;
-        let gcp_opts = GcpOptions {
-            max_cluster_size: opts.sizes.max(),
-            seed: opts.seed,
-            ..opts.gcp
-        };
-        // Warm-start state for the Lanczos backend: the previous
-        // iteration's embedding plus the connection count it was computed
-        // for. `remaining` only ever shrinks (removal-only updates), so an
-        // unchanged count is a complete fingerprint of an unchanged matrix.
-        let mut prev_embedding: Option<DenseMatrix> = None;
-        let mut prev_connections: Option<usize> = None;
+        // The previous iteration's Lanczos embedding: connection removal
+        // perturbs the Laplacian only mildly, so its Ritz vectors are
+        // near-invariant directions that seed the next solve.
+        let mut warm: Option<DenseMatrix> = None;
         // Per-cluster scratch, hoisted so the candidate loop allocates
         // nothing per cluster (O(n·clusters) zeroing becomes O(n) total).
         let mut mask = vec![false; remaining.neurons()];
@@ -293,61 +228,15 @@ impl Isc {
             }
             // Line 3: cluster the remaining network with MSC+GCP.
             let n = remaining.neurons();
-            // `backend` is already resolved, so anything that is not
-            // Lanczos takes the dense reference path.
-            let source = match backend {
-                EigenBackend::Auto | EigenBackend::Dense => {
-                    EmbeddingSource::Dense(spectral_embedding(&remaining)?)
-                }
-                EigenBackend::Lanczos { oversample } => {
-                    let mut budget =
-                        (2 * n.div_ceil(opts.sizes.max()).max(1) + oversample).clamp(1, n);
-                    // Rank clipping (Group Scissor): bound the embedding
-                    // width — and with it the O(n·m) Lanczos working set —
-                    // regardless of the predicted cluster count.
-                    if let Some(clip) = opts.compression.rank_clip {
-                        let clipped = budget.min(clip.max(1));
-                        if clipped < budget {
-                            ncs_trace::add("compress.rank_clips", 1);
-                        }
-                        budget = clipped;
-                    }
-                    let connections = remaining.connections();
-                    let reusable = opts.warm_start && prev_connections == Some(connections);
-                    let u = match (&prev_embedding, reusable) {
-                        (Some(prev), true) => {
-                            // Nothing was removed since the last embed: the
-                            // matrix is identical, so the embedding is too.
-                            ncs_trace::add("isc.embed_reuses", 1);
-                            prev.clone()
-                        }
-                        _ => {
-                            let warm = if opts.warm_start {
-                                prev_embedding.as_ref()
-                            } else {
-                                None
-                            };
-                            if warm.is_some() {
-                                ncs_trace::add("isc.warm_starts", 1);
-                            }
-                            spectral_embedding_partial_warm(
-                                &remaining,
-                                budget,
-                                opts.seed.wrapping_add(m as u64),
-                                warm,
-                            )?
-                        }
-                    };
-                    prev_connections = Some(connections);
-                    prev_embedding = Some(u.clone());
-                    EmbeddingSource::Partial(u)
-                }
+            let width = embedding_width(n, opts.sizes.max());
+            let seed = opts.seed.wrapping_add(m as u64);
+            let source = embed(&remaining, width, seed, warm.as_ref())?;
+            let gcp_seed = opts.seed.wrapping_add(m as u64 * 0x9e37);
+            let clustering = gcp_from_embedding(&source, n, opts.sizes.max(), gcp_seed)?;
+            warm = match source {
+                EmbeddingSource::Partial(u) => Some(u),
+                EmbeddingSource::Dense(_) => None,
             };
-            let gcp_seeded = GcpOptions {
-                seed: gcp_opts.seed.wrapping_add(m as u64 * 0x9e37),
-                ..gcp_opts
-            };
-            let clustering = gcp_from_embedding(&source, n, &gcp_seeded)?;
 
             // Line 4: compute CP per cluster (on the remaining network).
             // A cluster's crossbar only needs rows/columns for the members
@@ -473,10 +362,8 @@ impl Isc {
             }
         }
 
-        // Line 18: remaining connections become discrete synapses, along
-        // with anything the compression stage pre-deleted.
-        let mut outliers: Vec<(usize, usize)> = remaining.iter().collect();
-        outliers.extend(pre_deleted);
+        // Line 18: remaining connections become discrete synapses.
+        let outliers: Vec<(usize, usize)> = remaining.iter().collect();
         ncs_trace::record("isc.outliers", outliers.len() as u64);
         let mapping = HybridMapping::new(net.neurons(), crossbars, outliers);
         Ok((
@@ -493,6 +380,7 @@ impl Isc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DENSE_EIGEN_MAX_N;
     use ncs_net::generators;
 
     fn structured_net() -> ConnectionMatrix {
@@ -640,16 +528,18 @@ mod tests {
         strict.verify_covers(&net).unwrap();
     }
 
+    /// The loop's Lanczos path at any network size, warm-started.
+    fn run_lanczos(net: &ConnectionMatrix) -> (HybridMapping, IscTrace) {
+        Isc::new(IscOptions::default())
+            .run_with(net, EmbeddingSource::lanczos)
+            .unwrap()
+    }
+
     #[test]
     fn lanczos_backend_matches_dense_quality() {
         let net = structured_net();
         let dense = Isc::new(IscOptions::default()).run(&net).unwrap();
-        let lanczos = Isc::new(IscOptions {
-            eigensolver: EigenBackend::Lanczos { oversample: 8 },
-            ..IscOptions::default()
-        })
-        .run(&net)
-        .unwrap();
+        let (lanczos, _) = run_lanczos(&net);
         lanczos.verify_covers(&net).unwrap();
         // Same ballpark of coverage; the partial solver is an
         // approximation, so allow a band.
@@ -674,16 +564,12 @@ mod tests {
         let net = generators::planted_clusters(96, 2, 0.8, 0.002, 4)
             .unwrap()
             .0;
-        let warm_opts = IscOptions {
-            eigensolver: EigenBackend::Lanczos { oversample: 8 },
-            ..IscOptions::default()
-        };
-        let cold_opts = IscOptions {
-            warm_start: false,
-            ..warm_opts.clone()
-        };
-        let (warm_map, warm_trace) = Isc::new(warm_opts).run_traced(&net).unwrap();
-        let (cold_map, cold_trace) = Isc::new(cold_opts).run_traced(&net).unwrap();
+        let (warm_map, warm_trace) = run_lanczos(&net);
+        let (cold_map, cold_trace) = Isc::new(IscOptions::default())
+            .run_with(&net, |net, width, seed, _| {
+                EmbeddingSource::lanczos(net, width, seed, None)
+            })
+            .unwrap();
         assert_eq!(warm_trace, cold_trace);
         assert_eq!(warm_map, cold_map);
         assert!(
@@ -695,13 +581,7 @@ mod tests {
     #[test]
     fn warm_start_counter_fires() {
         let net = structured_net();
-        let opts = IscOptions {
-            eigensolver: EigenBackend::Lanczos { oversample: 8 },
-            ..IscOptions::default()
-        };
-        let (_, events) = ncs_trace::capture(|| {
-            Isc::new(opts).run(&net).unwrap();
-        });
+        let (_, events) = ncs_trace::capture(|| run_lanczos(&net));
         let report = ncs_trace::TraceReport::from_events(&events);
         let warm = report
             .counters
@@ -712,85 +592,31 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_is_dense_below_the_threshold() {
-        // structured_net() has 128 neurons, far below DENSE_EIGEN_MAX_N:
-        // the Auto default must reproduce the explicit Dense run bit for
-        // bit (trace and mapping).
-        let net = structured_net();
-        assert_eq!(IscOptions::default().eigensolver, EigenBackend::Auto);
-        let (auto_map, auto_trace) = Isc::new(IscOptions::default()).run_traced(&net).unwrap();
-        let (dense_map, dense_trace) = Isc::new(IscOptions {
-            eigensolver: EigenBackend::Dense,
-            ..IscOptions::default()
-        })
-        .run_traced(&net)
-        .unwrap();
-        assert_eq!(auto_map, dense_map);
-        assert_eq!(auto_trace, dense_trace);
+    fn sparse_lanczos_mapping_matches_the_dense_reference_on_small_networks() {
+        // Dense-vs-sparse equivalence, end to end: on this robust
+        // two-community instance (decisions verified stable across
+        // oversample budgets) the approximate Lanczos pipeline must
+        // reproduce the dense reference mapping exactly — every crossbar,
+        // member list, and outlier.
+        let net = generators::planted_clusters(96, 2, 0.8, 0.002, 4)
+            .unwrap()
+            .0;
+        let reference = Isc::new(IscOptions::default()).run(&net).unwrap();
+        reference.verify_covers(&net).unwrap();
+        assert_eq!(run_lanczos(&net).0, reference);
     }
 
     #[test]
     fn backend_resolution_switches_at_the_threshold() {
-        use crate::DENSE_EIGEN_MAX_N;
-        assert_eq!(
-            EigenBackend::Auto.resolve(DENSE_EIGEN_MAX_N),
-            EigenBackend::Dense
-        );
-        assert_eq!(
-            EigenBackend::Auto.resolve(DENSE_EIGEN_MAX_N + 1),
-            EigenBackend::Lanczos {
-                oversample: AUTO_OVERSAMPLE
-            }
-        );
-        let forced = EigenBackend::Lanczos { oversample: 3 };
-        assert_eq!(forced.resolve(4), forced);
-        assert_eq!(EigenBackend::Dense.resolve(100_000), EigenBackend::Dense);
-    }
-
-    #[test]
-    fn group_deletion_preserves_coverage() {
-        // Block-sparse net: the bridges are pre-classified as outliers,
-        // and the mapping still covers every original connection.
-        let (net, blocks) = generators::block_sparse(256, 64, 0.5, 2, 7).unwrap();
-        let opts = IscOptions {
-            compression: crate::CompressionOptions {
-                group_deletion: Some(crate::GroupDeletionOptions::default()),
-                ..crate::CompressionOptions::default()
-            },
-            ..IscOptions::default()
-        };
-        let (mapping, _) = Isc::new(opts).run_traced(&net).unwrap();
-        mapping.verify_covers(&net).unwrap();
-        // At least one deleted bridge must appear among the outliers.
-        assert!(
-            mapping
-                .outliers()
-                .iter()
-                .any(|&(f, t)| blocks[f] != blocks[t]),
-            "no cross-block outlier found"
-        );
-    }
-
-    #[test]
-    fn rank_clip_bounds_the_embedding_and_preserves_coverage() {
-        let net = structured_net();
-        let opts = IscOptions {
-            eigensolver: EigenBackend::Lanczos { oversample: 8 },
-            compression: crate::CompressionOptions {
-                rank_clip: Some(3),
-                ..crate::CompressionOptions::default()
-            },
-            ..IscOptions::default()
-        };
-        let (mapping, events) = ncs_trace::capture(|| Isc::new(opts).run(&net).unwrap());
-        mapping.verify_covers(&net).unwrap();
-        let report = ncs_trace::TraceReport::from_events(&events);
-        let clips = report
-            .counters
-            .iter()
-            .find(|c| c.name == "compress.rank_clips")
-            .map_or(0, |c| c.total);
-        assert!(clips >= 1, "rank clipping never engaged");
+        // One 3-cycle among isolated neurons keeps both solves cheap; the
+        // decision looks only at the neuron count.
+        let net = |n| ConnectionMatrix::from_pairs(n, [(0, 1), (1, 2), (2, 0)]).unwrap();
+        let dense = EmbeddingSource::new(&net(DENSE_EIGEN_MAX_N), 4, 0, None).unwrap();
+        assert!(matches!(dense, EmbeddingSource::Dense(_)));
+        assert_eq!(dense.max_k(), DENSE_EIGEN_MAX_N);
+        let sparse = EmbeddingSource::new(&net(DENSE_EIGEN_MAX_N + 1), 4, 0, None).unwrap();
+        assert!(matches!(sparse, EmbeddingSource::Partial(_)));
+        assert_eq!(sparse.max_k(), 4);
     }
 
     #[test]

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod clustering;
-mod compress;
 mod cp;
 mod error;
 mod fullcro;
@@ -59,14 +58,11 @@ pub mod stats;
 mod traversing;
 
 pub use clustering::Clustering;
-pub use compress::{
-    group_connection_deletion, CompressionOptions, GroupDeletionOptions, GroupDeletionReport,
-};
 pub use cp::{crossbar_preference, min_satisfiable_size, CpModel, CrossbarSizeSet};
 pub use error::ClusterError;
 pub use fullcro::full_crossbar;
-pub use gcp::{gcp, GcpOptions};
-pub use isc::{EigenBackend, Isc, IscIteration, IscOptions, IscTrace, StopReason};
+pub use gcp::gcp;
+pub use isc::{Isc, IscIteration, IscOptions, IscTrace, StopReason};
 pub use kmeans::{kmeans, KmeansResult};
 pub use mapping::{CrossbarAssignment, HybridMapping};
 pub use msc::{

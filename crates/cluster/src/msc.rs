@@ -4,12 +4,26 @@ use ncs_net::ConnectionMatrix;
 use crate::{kmeans, ClusterError, Clustering};
 
 /// Largest network the clustering pipeline hands to the dense QL
-/// eigensolver when no backend is forced. At or below this size the dense
-/// decomposition is both fast and the bit-pinned reference; above it every
-/// spectral embedding goes through the sparse Lanczos path, which never
-/// materializes an `n × n` matrix. The paper's Hopfield testbenches (N ≤
-/// 500) all stay on the dense reference path.
+/// eigensolver. At or below this size the dense decomposition is both
+/// fast and the bit-pinned reference; above it every spectral embedding
+/// goes through the sparse Lanczos path, which never materializes an
+/// `n × n` matrix. The paper's Hopfield testbenches (N ≤ 500) all stay on
+/// the dense reference path.
 pub const DENSE_EIGEN_MAX_N: usize = 512;
+
+/// Most Lanczos columns ISC and GCP embed a network in. The uncapped
+/// width reaches exactly 72 at 32 predicted clusters (2,048 neurons on
+/// 64-wide crossbars), so the cap binds only on larger networks, where it
+/// keeps the `O(n·width)` Lanczos working set linear in `n`.
+const EMBED_WIDTH_MAX: usize = 72;
+
+/// Lanczos embedding width for clustering `n` neurons into parts of at
+/// most `s ≥ 1`: twice the predicted cluster count `⌈n / s⌉` plus 8
+/// columns of headroom, so GCP's splits rarely exhaust the budget, capped
+/// at [`EMBED_WIDTH_MAX`] and at `n`.
+pub(crate) fn embedding_width(n: usize, s: usize) -> usize {
+    (2 * n.div_ceil(s).max(1) + 8).min(EMBED_WIDTH_MAX).min(n)
+}
 
 /// Computes the spectral embedding of a network: the generalized
 /// eigendecomposition of `L u = λ D u` where the similarity `W` is the
@@ -93,26 +107,17 @@ pub fn msc(net: &ConnectionMatrix, k: usize, seed: u64) -> Result<Clustering, Cl
     if k == 0 || k > n {
         return Err(ClusterError::InvalidClusterCount { k, points: n });
     }
-    if n > DENSE_EIGEN_MAX_N {
-        // Sparse-first path: a k-column Lanczos embedding in O(nnz)
-        // memory instead of the dense n×n factorization.
-        let u = spectral_embedding_partial(net, k, seed)?;
-        let result = kmeans(&u, k, seed, 200)?;
-        return Ok(Clustering::from_assignment(&result.assignment, k));
-    }
-    let eig = spectral_embedding(net)?;
-    msc_from_embedding(&eig, k, seed)
+    msc_from_embedding(&EmbeddingSource::new(net, k, seed, None)?, k, seed)
 }
 
 /// MSC step 5-6 on a precomputed embedding; shared with the traversing
 /// baseline so that repeated `k` scans do not refactorize.
 pub(crate) fn msc_from_embedding(
-    eig: &GeneralizedEigen,
+    source: &EmbeddingSource,
     k: usize,
     seed: u64,
 ) -> Result<Clustering, ClusterError> {
-    let u = eig.embedding(k);
-    let result = kmeans(&u, k, seed, 200)?;
+    let result = kmeans(&source.embedding(k), k, seed, 200)?;
     Ok(Clustering::from_assignment(&result.assignment, k))
 }
 
@@ -126,6 +131,36 @@ pub(crate) enum EmbeddingSource {
 }
 
 impl EmbeddingSource {
+    /// Embeds `net` with the solver its size calls for: the full dense
+    /// decomposition at or below [`DENSE_EIGEN_MAX_N`] neurons, else
+    /// `width` Lanczos columns from `seed`, warm-started from `warm`.
+    pub(crate) fn new(
+        net: &ConnectionMatrix,
+        width: usize,
+        seed: u64,
+        warm: Option<&DenseMatrix>,
+    ) -> Result<Self, ClusterError> {
+        if net.neurons() <= DENSE_EIGEN_MAX_N {
+            Ok(EmbeddingSource::Dense(spectral_embedding(net)?))
+        } else {
+            EmbeddingSource::lanczos(net, width, seed, warm)
+        }
+    }
+
+    /// The Lanczos arm of [`EmbeddingSource::new`], at any network size.
+    pub(crate) fn lanczos(
+        net: &ConnectionMatrix,
+        width: usize,
+        seed: u64,
+        warm: Option<&DenseMatrix>,
+    ) -> Result<Self, ClusterError> {
+        if warm.is_some() {
+            ncs_trace::add("isc.warm_starts", 1);
+        }
+        let u = spectral_embedding_partial_warm(net, width, seed, warm)?;
+        Ok(EmbeddingSource::Partial(u))
+    }
+
     /// First `min(k, max_k)` embedding columns.
     pub(crate) fn embedding(&self, k: usize) -> DenseMatrix {
         match self {
@@ -500,6 +535,48 @@ mod tests {
             "purity {}",
             correct as f64 / n as f64
         );
+    }
+
+    #[test]
+    fn embedding_width_is_capped_at_72() {
+        // 2·⌈n/s⌉ + 8 reaches the cap at exactly 32 predicted clusters.
+        assert_eq!(embedding_width(31 * 64, 64), 70);
+        assert_eq!(embedding_width(32 * 64, 64), 72);
+        assert_eq!(embedding_width(32 * 64 + 1, 64), 72);
+        assert_eq!(embedding_width(20_000, 16), 72);
+        // Never wider than the network.
+        assert_eq!(embedding_width(1, 64), 1);
+        assert_eq!(embedding_width(5, 64), 5);
+        for n in 1..200 {
+            assert!(embedding_width(n, 4) <= n);
+        }
+    }
+
+    #[test]
+    fn isc_and_gcp_embed_at_the_capped_width() {
+        use crate::{gcp, CrossbarSizeSet, Isc, IscOptions};
+        // ⌈1100 / 16⌉ = 69 predicted clusters ask for 146 columns; the
+        // cap holds both to 72, so Lanczos builds a 2·72 + 40 basis.
+        let (net, _) = generators::block_sparse(1100, 16, 0.5, 1, 3).unwrap();
+        let basis = |run: &dyn Fn()| {
+            let ((), events) = ncs_trace::capture(run);
+            let report = ncs_trace::TraceReport::from_events(&events);
+            let s = report.samples.iter().find(|s| s.name == "lanczos.basis");
+            s.map(|s| (s.min, s.max))
+        };
+        let one_iteration = IscOptions {
+            sizes: CrossbarSizeSet::single(16).unwrap(),
+            max_iterations: 1,
+            ..IscOptions::default()
+        };
+        let run_isc = || {
+            Isc::new(one_iteration.clone()).run(&net).unwrap();
+        };
+        assert_eq!(basis(&run_isc), Some((184, 184)), "ISC");
+        let run_gcp = || {
+            gcp(&net, 16, 0).unwrap();
+        };
+        assert_eq!(basis(&run_gcp), Some((184, 184)), "GCP");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use ncs_net::ConnectionMatrix;
 
-use crate::msc::msc_from_embedding;
+use crate::msc::{msc_from_embedding, EmbeddingSource};
 use crate::{spectral_embedding, ClusterError, Clustering};
 
 /// The **traversing** baseline for cluster-size limitation (Section 3.3).
@@ -41,7 +41,7 @@ pub fn traversing(
         return Err(ClusterError::InvalidSizeLimit { limit: 0 });
     }
     let n = net.neurons();
-    let eig = spectral_embedding(net)?;
+    let eig = EmbeddingSource::Dense(spectral_embedding(net)?);
     let mut k = n.div_ceil(max_cluster_size).max(1);
     while k <= n {
         let clustering = msc_from_embedding(&eig, k, seed)?;
@@ -74,18 +74,10 @@ mod tests {
 
     #[test]
     fn quality_comparable_to_gcp() {
-        use crate::{gcp, GcpOptions};
+        use crate::gcp;
         let (net, _) = generators::planted_clusters(100, 4, 0.5, 0.01, 8).unwrap();
         let trav = traversing(&net, 30, 5).unwrap();
-        let greedy = gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 30,
-                seed: 5,
-                ..GcpOptions::default()
-            },
-        )
-        .unwrap();
+        let greedy = gcp(&net, 30, 5).unwrap();
         let a = trav.outlier_ratio(&net);
         let b = greedy.outlier_ratio(&net);
         // Figure 4: the two clusterings are "very close". Allow a generous

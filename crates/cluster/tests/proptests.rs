@@ -6,7 +6,7 @@
 //! exact cases are reproducible run to run while still sweeping the same
 //! parameter ranges the proptest strategies covered.
 
-use ncs_cluster::{full_crossbar, gcp, msc, CpModel, CrossbarSizeSet, GcpOptions, Isc, IscOptions};
+use ncs_cluster::{full_crossbar, gcp, msc, CpModel, CrossbarSizeSet, Isc, IscOptions};
 use ncs_net::generators;
 use ncs_rng::Rng;
 
@@ -42,12 +42,7 @@ fn gcp_never_exceeds_limit() {
         let limit = rng.gen_range(4usize..20);
         let seed = rng.gen_range(0u64..50);
         let net = generators::uniform_random(n, 0.1, seed).unwrap();
-        let opts = GcpOptions {
-            max_cluster_size: limit,
-            seed,
-            ..GcpOptions::default()
-        };
-        let c = gcp(&net, &opts).unwrap();
+        let c = gcp(&net, limit, seed).unwrap();
         assert!(
             c.max_cluster_size() <= limit,
             "case {case}: n={n} limit={limit} seed={seed} got {}",

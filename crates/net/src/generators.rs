@@ -295,9 +295,9 @@ pub fn layered(
 /// n² — this is the scale workload for the sparse-first clustering
 /// pipeline (constant average degree, so nnz grows linearly with n).
 /// The inter-block bridges are single connections in otherwise-empty
-/// block pairs, exactly the low-density groups a Group-Scissor-style
-/// group deletion prunes. Returns the network and the planted block id
-/// per neuron.
+/// block pairs, the cross-cluster outliers a good clustering leaves as
+/// discrete synapses. Returns the network and the planted block id per
+/// neuron.
 ///
 /// # Errors
 ///

@@ -90,7 +90,7 @@ def main() -> int:
         f"peak_rss_supported={mem_supported}"
     )
     header = (
-        f"{'n':>7} {'nnz':>10} {'map_ms':>10} {'gen_ms':>8} "
+        f"{'n':>7} {'nnz':>10} {'map_ms':>10} {'xbars':>6} {'outl_%':>6} {'gen_ms':>8} "
         f"{'peak_MiB':>9} {'dense_MiB':>10} {'peak/dense':>10}"
     )
     print(header)
@@ -102,8 +102,13 @@ def main() -> int:
         peak = s["peak_rss_bytes"]
         dense = s["dense_bytes"]
         frac = peak / dense if dense else float("inf")
+        # The mapping's quality next to its time: crossbars, and outliers
+        # as a share of the connections.
+        xbars = s.get("crossbars", "?")
+        outl = f"{100 * s['outliers'] / s['nnz']:.1f}" if "outliers" in s and s["nnz"] else "?"
         print(
             f"{n:>7} {s['nnz']:>10} {s['map_median_ns'] / 1e6:>10.1f} "
+            f"{xbars:>6} {outl:>6} "
             f"{s['gen_median_ns'] / 1e6:>8.1f} {peak / 2**20:>9.1f} "
             f"{dense / 2**20:>10.1f} {frac:>10.3f}"
         )

@@ -4,9 +4,7 @@
 
 use ncs_cluster::stats::{FaninFanoutProfile, MappingComparison};
 use ncs_cluster::CpModel;
-use ncs_cluster::{
-    full_crossbar, gcp, msc, traversing, CrossbarSizeSet, GcpOptions, Isc, IscOptions,
-};
+use ncs_cluster::{full_crossbar, gcp, msc, traversing, CrossbarSizeSet, Isc, IscOptions};
 use ncs_net::{generators, Testbench, TestbenchSpec};
 
 /// A scaled-down analogue of the paper's testbenches: Hopfield-derived
@@ -37,15 +35,7 @@ fn gcp_and_traversing_agree_on_quality() {
     // Figure 4's claim: GCP and traversing produce very close clusterings.
     let net = mini_testbench(7);
     let limit = 24;
-    let g = gcp(
-        &net,
-        &GcpOptions {
-            max_cluster_size: limit,
-            seed: 2,
-            ..GcpOptions::default()
-        },
-    )
-    .unwrap();
+    let g = gcp(&net, limit, 2).unwrap();
     let t = traversing(&net, limit, 2).unwrap();
     assert!(g.max_cluster_size() <= limit);
     assert!(t.max_cluster_size() <= limit);

@@ -457,38 +457,48 @@ fn msc_clustering_is_bit_identical_across_the_laplacian_cutoff() {
 }
 
 #[test]
-fn sparse_lanczos_mapping_matches_the_dense_reference_on_small_networks() {
-    use ncs_cluster::{EigenBackend, Isc, IscOptions};
+fn sparse_isc_mapping_is_pinned() {
+    use ncs_cluster::{Isc, IscOptions, DENSE_EIGEN_MAX_N};
     use ncs_net::generators;
-    // Dense-vs-sparse equivalence, end to end: on this robust
-    // two-community instance (decisions verified stable across oversample
-    // budgets in the ncs-cluster unit suite) the approximate Lanczos
-    // pipeline and the Auto router must reproduce the dense reference
-    // mapping exactly — every crossbar, member list, and outlier.
-    let net = generators::planted_clusters(96, 2, 0.8, 0.002, 4)
-        .expect("valid generator spec")
-        .0;
-    let map_with = |backend: EigenBackend| {
-        Isc::new(IscOptions {
-            eigensolver: backend,
-            ..IscOptions::default()
-        })
+    // 1,100 neurons sit above the dense/Lanczos threshold and GCP's
+    // split-only threshold (1,024), so ISC runs the loop the large maps
+    // run: a Lanczos embedding, warm-started after the first iteration,
+    // at the capped width, then bisection-only GCP. One hash over every
+    // crossbar (size, inputs, outputs, connections), then the outliers.
+    const {
+        assert!(DENSE_EIGEN_MAX_N < 1100);
+    }
+    let (net, _) = generators::block_sparse(1100, 64, 0.4, 1, 5).expect("valid generator spec");
+    let mapping = Isc::new(IscOptions::default())
         .run(&net)
-        .expect("mapping succeeds")
-    };
-    let reference = map_with(EigenBackend::Dense);
-    reference.verify_covers(&net).expect("reference covers");
-    for backend in [
-        EigenBackend::Auto,
-        EigenBackend::Dense,
-        EigenBackend::Lanczos { oversample: 8 },
-    ] {
-        assert_eq!(
-            map_with(backend),
-            reference,
-            "{backend:?} mapping diverged from the dense reference"
+        .expect("mapping succeeds");
+    let mut key = Vec::new();
+    for xbar in mapping.crossbars() {
+        key.push(xbar.size as f64);
+        for list in [&xbar.inputs, &xbar.outputs] {
+            key.push(list.len() as f64);
+            key.extend(list.iter().map(|&i| i as f64));
+        }
+        key.push(xbar.connections.len() as f64);
+        key.extend(
+            xbar.connections
+                .iter()
+                .flat_map(|&(f, t)| [f as f64, t as f64]),
         );
     }
+    key.push(mapping.outliers().len() as f64);
+    key.extend(
+        mapping
+            .outliers()
+            .iter()
+            .flat_map(|&(f, t)| [f as f64, t as f64]),
+    );
+    assert_eq!(
+        fnv1a_f64(&key),
+        0xebac_1129_15c2_6361,
+        "sparse isc bits drifted from the pinned hash: {:#018x}",
+        fnv1a_f64(&key)
+    );
 }
 
 #[test]

@@ -9,8 +9,7 @@ use std::error::Error as _;
 
 use autoncs::{AutoNcs, FlowError};
 use ncs_cluster::{
-    full_crossbar, gcp, kmeans, msc, traversing, ClusterError, CrossbarSizeSet, GcpOptions, Isc,
-    IscOptions,
+    full_crossbar, gcp, kmeans, msc, traversing, ClusterError, CrossbarSizeSet, Isc, IscOptions,
 };
 use ncs_linalg::{DenseMatrix, LinalgError};
 use ncs_net::{generators, ConnectionMatrix, NetError};
@@ -59,14 +58,7 @@ fn cluster_invalid_size_limit_from_every_front_end() {
     for e in [
         full_crossbar(&net, 0).unwrap_err(),
         traversing(&net, 0, SEED).unwrap_err(),
-        gcp(
-            &net,
-            &GcpOptions {
-                max_cluster_size: 0,
-                ..GcpOptions::default()
-            },
-        )
-        .unwrap_err(),
+        gcp(&net, 0, SEED).unwrap_err(),
     ] {
         assert_eq!(e, ClusterError::InvalidSizeLimit { limit: 0 });
         assert_eq!(e.to_string(), "cluster size limit 0 must be at least 1");
@@ -128,30 +120,6 @@ fn cluster_traversing_budget_is_a_defensive_guard() {
     assert_eq!(
         e.to_string(),
         "traversing baseline exhausted its budget at k = 3"
-    );
-    assert!(e.source().is_none());
-}
-
-#[test]
-fn cluster_invalid_iteration_budget_from_gcp() {
-    let net = generators::uniform_random(12, 0.2, SEED).expect("valid generator");
-    let e = gcp(
-        &net,
-        &GcpOptions {
-            max_outer_iterations: 0,
-            ..GcpOptions::default()
-        },
-    )
-    .unwrap_err();
-    assert_eq!(
-        e,
-        ClusterError::InvalidIterationBudget {
-            what: "max_outer_iterations"
-        }
-    );
-    assert_eq!(
-        e.to_string(),
-        "iteration budget max_outer_iterations must be at least 1"
     );
     assert!(e.source().is_none());
 }
