@@ -386,15 +386,19 @@ fn scale() {
         let (net, _) = generators::block_sparse(n, 64, 0.5, 2, SEED).unwrap();
         let nnz = net.connections();
         reset_supported &= ncs_bench::memory::reset_peak_rss();
+        // Each sample's mapping replaces the previous one, which is
+        // dropped before the run so the peak RSS holds one mapping.
+        let mut mapping = None;
         let map_ns = group
             .bench(&format!("map/{n}"), || {
-                Isc::new(opts.clone()).run(&net).unwrap()
+                mapping = None;
+                mapping = Some(Isc::new(opts.clone()).run(&net).unwrap());
             })
             .median_ns;
         let peak = ncs_bench::memory::peak_rss_bytes().unwrap_or(0);
         // Correctness outside the timed loop: the mapping still covers
         // every connection at every scale.
-        let mapping = Isc::new(opts.clone()).run(&net).unwrap();
+        let mapping = mapping.expect("the group takes at least one sample");
         mapping.verify_covers(&net).unwrap();
         let dense_bytes = 8 * (n as u64) * (n as u64);
         if idx > 0 {

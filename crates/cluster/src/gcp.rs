@@ -11,6 +11,7 @@ use crate::{kmeans, ClusterError, Clustering};
 /// quadratic once k grows with n. Far above every paper testbench, so the
 /// small-flow results are untouched.
 pub(crate) const GCP_BISECTION_MIN_N: usize = 1024;
+const _: () = assert!(crate::DENSE_EIGEN_MAX_N < GCP_BISECTION_MIN_N);
 
 /// Outer (re-embedding) iterations before GCP keeps its current
 /// clustering, which the inner split loop has already made size-feasible.
@@ -72,8 +73,12 @@ pub(crate) fn gcp_from_embedding(
     s: usize,
     seed: u64,
 ) -> Result<Clustering, ClusterError> {
+    // Bisection starts above the dense solver's largest network, so it
+    // reads a Lanczos embedding in place.
     if n >= GCP_BISECTION_MIN_N {
-        return Ok(gcp_bisection(source, n, s));
+        if let EmbeddingSource::Partial(u) = source {
+            return Ok(gcp_bisection(u, n, s));
+        }
     }
     // Step 2: predicted cluster count k = n / s (at least 1).
     let mut k = n.div_ceil(s).max(1);
@@ -134,7 +139,8 @@ pub(crate) fn gcp_from_embedding(
 }
 
 /// Split-only GCP for large networks: start from a single all-neuron
-/// cluster and recursively bisect every oversize cluster on the embedding.
+/// cluster and recursively bisect every oversize cluster on the Lanczos
+/// embedding `u`.
 /// Skipping the global k-means removes the O(n·k·d) Lloyd sweeps that
 /// dominate once `k` grows with `n`, and the balanced spectral cut in
 /// [`spread_split`] replaces the 2-means used on the small-n path — a
@@ -143,13 +149,12 @@ pub(crate) fn gcp_from_embedding(
 /// balanced cut shrinks every part geometrically. Total work is
 /// O(n·d·log(n/s)).
 // ncs-lint: hot
-fn gcp_bisection(source: &EmbeddingSource, n: usize, s: usize) -> Clustering {
-    let u = source.embedding(source.max_k());
+fn gcp_bisection(u: &DenseMatrix, n: usize, s: usize) -> Clustering {
     let mut clusters: Vec<Vec<usize>> = vec![(0..n).collect()];
     let mut j = 0;
     while j < clusters.len() {
         if clusters[j].len() > s {
-            let (a, b) = spread_split(&u, &clusters[j]);
+            let (a, b) = spread_split(u, &clusters[j]);
             clusters[j] = a;
             clusters.push(b);
             ncs_trace::add("gcp.splits", 1);

@@ -207,9 +207,16 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
     // pull creates real overlap to push against.
     let mut grad_wl = vec![0.0; 2 * n];
     let mut grad_d = vec![0.0; 2 * n];
+    let mut work = PairWork::default();
     let point: Vec<f64> = xs.iter().chain(ys.iter()).copied().collect();
     wa_wirelength(netlist, &point, options.gamma, Some(&mut grad_wl[..]));
-    density(netlist, &point, options.omega, Some(&mut grad_d[..]));
+    density(
+        netlist,
+        &point,
+        options.omega,
+        Some(&mut grad_d[..]),
+        &mut work,
+    );
     let mut lambda = match initial_lambda(&grad_wl, &grad_d) {
         Some(l) => l,
         None => {
@@ -230,7 +237,13 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
             grad_wl.fill(0.0);
             grad_d.fill(0.0);
             wa_wirelength(netlist, &p0, options.gamma, Some(&mut grad_wl[..]));
-            density(netlist, &p0, options.omega, Some(&mut grad_d[..]));
+            density(
+                netlist,
+                &p0,
+                options.omega,
+                Some(&mut grad_d[..]),
+                &mut work,
+            );
             if let Some(l) = initial_lambda(&grad_wl, &grad_d) {
                 lambda = l;
             } else {
@@ -250,7 +263,7 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
                     return wl;
                 }
                 grad_density.fill(0.0);
-                let d = density(netlist, p, omega, Some(&mut grad_density[..]));
+                let d = density(netlist, p, omega, Some(&mut grad_density[..]), &mut work);
                 for (g, gd) in grad.iter_mut().zip(&grad_density) {
                     *g += lam * gd;
                 }
@@ -270,6 +283,8 @@ fn place_cg(netlist: &Netlist, options: &PlacerOptions) -> Placement {
         }
     }
     ncs_trace::record("place.outer_iterations", outer as u64);
+    ncs_trace::add("place.density_candidates", work.candidates);
+    ncs_trace::add("place.density_pairs", work.pairs);
 
     // Line 7: process the remaining overlap, then normalize.
     legalize_mixed_size(netlist, &mut xs, &mut ys, options.legalizer_passes);
@@ -529,34 +544,38 @@ fn bell(t: f64, w: f64) -> (f64, f64) {
 
 /// Smooth cell-density penalty (Eq. 2): sum over nearby cell pairs of
 /// `a_ij · O_x · O_y` where `O` are bell potentials over virtual widths
-/// `ω·w`. Optionally accumulates the gradient.
+/// `ω·w`. Optionally accumulates the gradient; adds the pair search's
+/// work to `work`.
 ///
 /// The pair set and its order are defined by a coarse bucketing of the
 /// plane at the largest virtual extent (so every interacting pair lies
 /// in adjacent coarse buckets): cell `i` meets its partners `j > i` by
-/// 3×3 coarse-bucket offset, then by ascending `j`. Finding them by
-/// walking the coarse buckets would test every cell of a macro-sized
-/// bucket; [`PairGrids`] instead bins small cells and macros on grids
-/// sized to each, and the partners are sorted into the coarse order
-/// before they are summed, so the sums see the same terms in the same
-/// order.
+/// 3×3 coarse-bucket offset, then by ascending `j`. [`PairList::find`]
+/// lists the pairs in that order, so the sums see the same terms in the
+/// same order as a walk over the coarse buckets.
 // ncs-lint: hot
-fn density(netlist: &Netlist, p: &[f64], omega: f64, mut grad: Option<&mut [f64]>) -> f64 {
+fn density(
+    netlist: &Netlist,
+    p: &[f64],
+    omega: f64,
+    mut grad: Option<&mut [f64]>,
+    work: &mut PairWork,
+) -> f64 {
     let n = netlist.cells.len();
     let (xs, ys) = p.split_at(n);
-    let grids = PairGrids::new(netlist, xs, ys, omega);
+    let pairs = PairList::find(netlist, xs, ys, omega);
+    work.candidates += pairs.candidates;
+    work.pairs += pairs.partners.len() as u64;
     // Each pair is charged to the [`DENSITY_GRAIN`]-cell chunk owning
     // its smaller index `i`.
     let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
-    let mut partners = Vec::new();
     let mut total = 0.0;
     for chunk in netlist.cells.chunks(DENSITY_GRAIN) {
         fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
             let mut chunk_total = 0.0;
             for cell in chunk {
                 let i = cell.id;
-                grids.partners(netlist, xs, ys, omega, i, &mut partners);
-                for &(_, j) in &partners {
+                for &j in pairs.of(i) {
                     let cj = &netlist.cells[j];
                     let wx = omega * (cell.dims.width + cj.dims.width) / 2.0;
                     let wy = omega * (cell.dims.height + cj.dims.height) / 2.0;
@@ -582,95 +601,183 @@ fn density(netlist: &Netlist, p: &[f64], omega: f64, mut grad: Option<&mut [f64]
     total
 }
 
+/// The work of [`density`]'s pair search, summed over evaluations.
+#[derive(Debug, Default)]
+struct PairWork {
+    /// Candidate pairs tested.
+    candidates: u64,
+    /// Interacting pairs found.
+    pairs: u64,
+}
+
 /// Relative slack between a grid's pitch and the largest interaction
 /// reach it must cover, so rounding in `x / pitch` can never push an
 /// interacting pair more than the computed number of buckets apart.
 const GRID_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
 
-/// The spatial index of [`density`]: one [`CellGrid`] of the small cells
-/// (neurons, synapses) and one of the crossbar macros, plus every cell's
-/// key in the coarse bucketing that defines the pair set.
-struct PairGrids {
-    /// `(⌊x/b⌋, ⌊y/b⌋)` per cell, where the coarse bucket edge `b` is the
-    /// largest virtual extent, at least 1 µm.
-    coarse_keys: Vec<(i64, i64)>,
-    small: CellGrid,
-    macros: CellGrid,
+/// The interacting pairs of one [`density`] evaluation, grouped by their
+/// smaller index: cell `i`'s partners `j > i` are
+/// `partners[start[i]..start[i + 1]]`, ordered by coarse offset, then by
+/// `j`.
+struct PairList {
+    start: Vec<usize>,
+    partners: Vec<CellId>,
+    /// Candidate pairs the search tested.
+    candidates: u64,
 }
 
-impl PairGrids {
-    fn new(netlist: &Netlist, xs: &[f64], ys: &[f64], omega: f64) -> Self {
-        let max_ext = netlist
+impl PairList {
+    /// Finds every pair of cells whose virtual footprints overlap and
+    /// whose coarse keys differ by at most one on each axis, testing each
+    /// candidate once.
+    ///
+    /// Small cells (neurons, synapses) and crossbar macros are binned on
+    /// a [`CellGrid`] each. Two members of one grid interact only within
+    /// `ω·(w_i + w_j)/2`, at most the grid's reach, and its pitch is
+    /// larger, so only from the same or adjacent buckets:
+    /// [`CellGrid::sweep`] meets each such pair once. Macro–small pairs
+    /// come from each macro's query of the small grid. Stable counting
+    /// sorts then put the pairs in order.
+    // ncs-lint: hot
+    fn find(netlist: &Netlist, xs: &[f64], ys: &[f64], omega: f64) -> Self {
+        let n = netlist.cells.len();
+        let coarse = (netlist
             .cells
             .iter()
             .map(|c| c.dims.width.max(c.dims.height))
             .fold(0.0_f64, f64::max)
-            * omega;
-        let coarse = max_ext.max(1.0);
-        let coarse_keys = (0..netlist.cells.len())
-            .map(|i| {
-                (
-                    (xs[i] / coarse).floor() as i64,
-                    (ys[i] / coarse).floor() as i64,
-                )
-            })
-            .collect();
-        let (macro_ids, small_ids): (Vec<CellId>, Vec<CellId>) = netlist
+            * omega)
+            .max(1.0);
+        let (macros, small): (Vec<Member>, Vec<Member>) = netlist
             .cells
             .iter()
-            .map(|c| c.id)
-            .partition(|&i| matches!(netlist.cells[i].kind, ncs_tech::CellKind::Crossbar(_)));
-        PairGrids {
-            coarse_keys,
-            small: CellGrid::new(netlist, small_ids, xs, ys, omega),
-            macros: CellGrid::new(netlist, macro_ids, xs, ys, omega),
+            .map(|c| Member {
+                id: c.id,
+                x: xs[c.id],
+                y: ys[c.id],
+                width: c.dims.width,
+                height: c.dims.height,
+                coarse: (
+                    (xs[c.id] / coarse).floor() as i64,
+                    (ys[c.id] / coarse).floor() as i64,
+                ),
+            })
+            .partition(|m| matches!(netlist.cells[m.id].kind, ncs_tech::CellKind::Crossbar(_)));
+        let small = CellGrid::new(small, omega);
+        let macros = CellGrid::new(macros, omega);
+
+        let mut found = Found::default();
+        small.sweep(|a, others| found.test(a, others, omega));
+        macros.sweep(|a, others| found.test(a, others, omega));
+        for m in &macros.members {
+            let ext = omega * m.width.max(m.height);
+            small.visit(m.x, m.y, ext, |row| found.test(m, row, omega));
+        }
+        let mut pairs = found.slots;
+        pairs.truncate(found.len);
+
+        // Least significant digit first: by `j`, by coarse offset, by `i`.
+        let (_, pairs) = counting_sort(&pairs, n, |k| pairs[k].2);
+        let (_, pairs) = counting_sort(&pairs, 9, |k| pairs[k].1);
+        let (start, pairs) = counting_sort(&pairs, n, |k| pairs[k].0);
+        PairList {
+            start,
+            partners: pairs.iter().map(|&(_, _, j)| j).collect(),
+            candidates: found.candidates,
         }
     }
 
-    /// Fills `out` with cell `i`'s interacting partners `j > i` inside
-    /// its 3×3 coarse neighbourhood, as `(coarse offset, j)` in the order
-    /// the sums must visit them.
-    fn partners(
-        &self,
-        netlist: &Netlist,
-        xs: &[f64],
-        ys: &[f64],
-        omega: f64,
-        i: CellId,
-        out: &mut Vec<(usize, CellId)>,
-    ) {
-        out.clear();
-        let ci = &netlist.cells[i];
-        let (kx, ky) = self.coarse_keys[i];
-        let ext = omega * ci.dims.width.max(ci.dims.height);
-        for grid in [&self.small, &self.macros] {
-            grid.visit(xs[i], ys[i], ext, |j| {
-                if j <= i {
-                    return;
-                }
-                let (jx, jy) = self.coarse_keys[j];
-                if kx.abs_diff(jx) > 1 || ky.abs_diff(jy) > 1 {
-                    return;
-                }
-                let cj = &netlist.cells[j];
-                let wx = omega * (ci.dims.width + cj.dims.width) / 2.0;
-                let wy = omega * (ci.dims.height + cj.dims.height) / 2.0;
-                if (xs[i] - xs[j]).abs() >= wx || (ys[i] - ys[j]).abs() >= wy {
-                    return;
-                }
-                // The coarse walk's visit order: x offset, then y offset.
-                let offset = (jx - kx + 1) * 3 + (jy - ky + 1);
-                out.push((offset as usize, j));
-            });
-        }
-        out.sort_unstable();
+    /// Cell `i`'s partners `j`.
+    fn of(&self, i: CellId) -> &[CellId] {
+        &self.partners[self.start[i]..self.start[i + 1]]
     }
 }
 
-/// Cells binned on a uniform grid, CSR-style: bucket `b` holds
-/// `ids[start[b]..start[b + 1]]`, in ascending id order. The pitch is at
-/// least the members' largest virtual extent (`reach`), grown when the
-/// members' bounding box would need more than a few buckets per member.
+/// The pairs found so far, as `(i, coarse offset, j)`.
+/// `slots` always has room for the candidates under test: each
+/// candidate is written to slot `len`, and kept by advancing `len` when
+/// it interacts, so the test does not branch on the outcome.
+#[derive(Default)]
+struct Found {
+    slots: Vec<(CellId, usize, CellId)>,
+    len: usize,
+    candidates: u64,
+}
+
+impl Found {
+    /// Tests `a` against each of `others`.
+    // ncs-lint: hot
+    fn test(&mut self, a: &Member, others: &[Member], omega: f64) {
+        self.candidates += others.len() as u64;
+        if self.slots.len() < self.len + others.len() {
+            let room = (self.len + others.len()).max(2 * self.slots.len());
+            self.slots.resize(room, (0, 0, 0));
+        }
+        for b in others {
+            let wx = omega * (a.width + b.width) / 2.0;
+            let wy = omega * (a.height + b.height) / 2.0;
+            let apart = ((a.x - b.x).abs() >= wx)
+                | ((a.y - b.y).abs() >= wy)
+                | (a.coarse.0.abs_diff(b.coarse.0) > 1)
+                | (a.coarse.1.abs_diff(b.coarse.1) > 1);
+            let (lo, hi) = if a.id < b.id { (a, b) } else { (b, a) };
+            // The coarse walk's visit order, x offset then y offset: the
+            // 3×3 index (dx + 1) · 3 + (dy + 1). Wrapping, as the keys of
+            // a pair that is apart may lie far apart.
+            let offset = (hi.coarse.0.wrapping_sub(lo.coarse.0))
+                .wrapping_mul(3)
+                .wrapping_add(hi.coarse.1.wrapping_sub(lo.coarse.1))
+                .wrapping_add(4);
+            self.slots[self.len] = (lo.id, offset as usize, hi.id);
+            self.len += usize::from(!apart);
+        }
+    }
+}
+
+/// Stable counting sort of `items` by `digit(k)`, the digit of
+/// `items[k]` (below `buckets`): returns the offsets `start`, where digit
+/// `d`'s items are `sorted[start[d]..start[d + 1]]`, and `sorted`.
+fn counting_sort<T: Copy>(
+    items: &[T],
+    buckets: usize,
+    digit: impl Fn(usize) -> usize,
+) -> (Vec<usize>, Vec<T>) {
+    let mut start = vec![0; buckets + 1];
+    for k in 0..items.len() {
+        start[digit(k) + 1] += 1;
+    }
+    for d in 0..buckets {
+        start[d + 1] += start[d];
+    }
+    let mut fill = start.clone();
+    let mut sorted = items.to_vec();
+    for (k, item) in items.iter().enumerate() {
+        let d = digit(k);
+        sorted[fill[d]] = *item;
+        fill[d] += 1;
+    }
+    (start, sorted)
+}
+
+/// A cell as the pair search reads it, copied into its grid's bucket
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    id: CellId,
+    x: f64,
+    y: f64,
+    width: f64,
+    height: f64,
+    /// `(⌊x/b⌋, ⌊y/b⌋)`, where the coarse bucket edge `b` is the largest
+    /// virtual extent, at least 1 µm.
+    coarse: (i64, i64),
+}
+
+/// Cells binned on a uniform grid, CSR-style: bucket `by · cols + bx`
+/// holds `members[start[b]..start[b + 1]]`, in ascending id order. The
+/// pitch is at least the members' largest virtual extent (`reach`),
+/// grown when the members' bounding box would need more than a few
+/// buckets per member.
 struct CellGrid {
     pitch: f64,
     reach: f64,
@@ -679,29 +786,24 @@ struct CellGrid {
     cols: usize,
     rows: usize,
     start: Vec<usize>,
-    ids: Vec<CellId>,
+    members: Vec<Member>,
 }
 
 impl CellGrid {
-    fn new(netlist: &Netlist, members: Vec<CellId>, xs: &[f64], ys: &[f64], omega: f64) -> Self {
+    fn new(members: Vec<Member>, omega: f64) -> Self {
         let reach = members
             .iter()
-            .map(|&i| {
-                netlist.cells[i]
-                    .dims
-                    .width
-                    .max(netlist.cells[i].dims.height)
-            })
+            .map(|m| m.width.max(m.height))
             .fold(0.0_f64, f64::max)
             * omega;
         let (mut lo, mut hi) = (
             (f64::INFINITY, f64::INFINITY),
             (f64::NEG_INFINITY, f64::NEG_INFINITY),
         );
-        for &i in &members {
-            if xs[i].is_finite() && ys[i].is_finite() {
-                lo = (lo.0.min(xs[i]), lo.1.min(ys[i]));
-                hi = (hi.0.max(xs[i]), hi.1.max(ys[i]));
+        for m in &members {
+            if m.x.is_finite() && m.y.is_finite() {
+                lo = (lo.0.min(m.x), lo.1.min(m.y));
+                hi = (hi.0.max(m.x), hi.1.max(m.y));
             }
         }
         if lo.0 > hi.0 {
@@ -723,29 +825,15 @@ impl CellGrid {
         let rows = (key(hi.1) - origin.1) as usize + 1;
         // Members off the finite bounding box (non-finite coordinates)
         // are clamped into its edge buckets.
-        let bucket = |i: CellId| {
-            let bx = key(xs[i])
-                .saturating_sub(origin.0)
-                .clamp(0, cols as i64 - 1) as usize;
-            let by = key(ys[i])
-                .saturating_sub(origin.1)
-                .clamp(0, rows as i64 - 1) as usize;
-            by * cols + bx
-        };
-        let mut start = vec![0usize; cols * rows + 1];
-        for &i in &members {
-            start[bucket(i) + 1] += 1;
-        }
-        for b in 0..cols * rows {
-            start[b + 1] += start[b];
-        }
-        let mut fill = start.clone();
-        let mut ids = vec![0; members.len()];
-        for &i in &members {
-            let b = bucket(i);
-            ids[fill[b]] = i;
-            fill[b] += 1;
-        }
+        let bucket: Vec<usize> = members
+            .iter()
+            .map(|m| {
+                let bx = key(m.x).saturating_sub(origin.0).clamp(0, cols as i64 - 1) as usize;
+                let by = key(m.y).saturating_sub(origin.1).clamp(0, rows as i64 - 1) as usize;
+                by * cols + bx
+            })
+            .collect();
+        let (start, members) = counting_sort(&members, cols * rows, |k| bucket[k]);
         CellGrid {
             pitch,
             reach,
@@ -753,15 +841,44 @@ impl CellGrid {
             cols,
             rows,
             start,
-            ids,
+            members,
         }
     }
 
-    /// Calls `f` on every member that could interact with a cell of
-    /// virtual extent `ext` centred at `(x, y)`: all members within
-    /// `(ext + reach) / 2` per axis, plus possibly a few farther ones.
-    fn visit(&self, x: f64, y: f64, ext: f64, mut f: impl FnMut(CellId)) {
-        if self.ids.is_empty() {
+    /// Calls `f(a, others)` so that every unordered pair of members in
+    /// the same or adjacent buckets is met exactly once (a half stencil):
+    /// each member meets its bucket's later members and its E neighbour
+    /// bucket, then the NW, N and NE neighbours on the next row. Buckets
+    /// adjacent in a row are adjacent in `members`, so each of the two
+    /// runs is one slice.
+    // ncs-lint: hot
+    fn sweep(&self, mut f: impl FnMut(&Member, &[Member])) {
+        for by in 0..self.rows {
+            for bx in 0..self.cols {
+                let b = by * self.cols + bx;
+                let east = usize::from(bx + 1 < self.cols);
+                let row_end = self.start[b + 1 + east];
+                let next_row = if by + 1 < self.rows {
+                    let above = b + self.cols;
+                    self.start[above - usize::from(bx > 0)]..self.start[above + 1 + east]
+                } else {
+                    0..0
+                };
+                for pos in self.start[b]..self.start[b + 1] {
+                    let a = &self.members[pos];
+                    f(a, &self.members[pos + 1..row_end]);
+                    f(a, &self.members[next_row.clone()]);
+                }
+            }
+        }
+    }
+
+    /// Calls `f` on runs of members covering every member that could
+    /// interact with a cell of virtual extent `ext` centred at `(x, y)`:
+    /// all members within `(ext + reach) / 2` per axis, plus possibly a
+    /// few farther ones. Each run is one bucket row of the window.
+    fn visit(&self, x: f64, y: f64, ext: f64, mut f: impl FnMut(&[Member])) {
+        if self.members.is_empty() {
             return;
         }
         let steps = ((ext + self.reach) / 2.0 / self.pitch * (1.0 + GRID_SLACK)).ceil() as i64;
@@ -776,14 +893,12 @@ impl CellGrid {
         };
         let (x_lo, x_hi) = span(key(x), self.origin.0, self.cols);
         let (y_lo, y_hi) = span(key(y), self.origin.1, self.rows);
+        if x_lo > x_hi {
+            return;
+        }
         for by in y_lo..=y_hi {
             let row = by as usize * self.cols;
-            for bx in x_lo..=x_hi {
-                let b = row + bx as usize;
-                for &j in &self.ids[self.start[b]..self.start[b + 1]] {
-                    f(j);
-                }
-            }
+            f(&self.members[self.start[row + x_lo as usize]..self.start[row + x_hi as usize + 1]]);
         }
     }
 }
@@ -1468,7 +1583,6 @@ mod tests {
     fn mixed_netlist(seed: u64, cells: usize, wires: usize) -> Netlist {
         use ncs_rng::Rng;
         use ncs_tech::CellKind;
-        let tech = TechnologyModel::nm45();
         let mut rng = Rng::seed_from_u64(seed);
         let mut kinds: Vec<CellKind> = (0..cells)
             .map(|k| match k % 10 {
@@ -1478,7 +1592,21 @@ mod tests {
             })
             .collect();
         rng.shuffle(&mut kinds);
-        let cells: Vec<crate::Cell> = kinds
+        let Netlist { cells, .. } = netlist_of(kinds);
+        let wires = (0..wires)
+            .map(|id| crate::Wire {
+                id,
+                pins: [rng.gen_range(0..cells.len()), rng.gen_range(0..cells.len())],
+                weight: 0.5 + rng.gen_f64(),
+            })
+            .collect();
+        Netlist { cells, wires }
+    }
+
+    /// A netlist of cells of the given kinds, in id order, without wires.
+    fn netlist_of(kinds: impl IntoIterator<Item = ncs_tech::CellKind>) -> Netlist {
+        let tech = TechnologyModel::nm45();
+        let cells = kinds
             .into_iter()
             .enumerate()
             .map(|(id, kind)| crate::Cell {
@@ -1488,14 +1616,10 @@ mod tests {
                 source: id,
             })
             .collect();
-        let wires = (0..wires)
-            .map(|id| crate::Wire {
-                id,
-                pins: [rng.gen_range(0..cells.len()), rng.gen_range(0..cells.len())],
-                weight: 0.5 + rng.gen_f64(),
-            })
-            .collect();
-        Netlist { cells, wires }
+        Netlist {
+            cells,
+            wires: Vec::new(),
+        }
     }
 
     /// Evaluates `kernel` with and without a gradient and asserts value
@@ -1536,6 +1660,7 @@ mod tests {
 
     #[test]
     fn density_matches_the_coarse_hash_oracle() {
+        use ncs_tech::CellKind;
         let omega = 1.2;
         let nl = mixed_netlist(7, 320, 0);
         let n = nl.cells.len();
@@ -1588,17 +1713,67 @@ mod tests {
             }
         }
         layouts.push(("macro row", rows));
-        for (name, p) in &layouts {
+        let mut cases: Vec<(String, &Netlist, Vec<f64>)> = layouts
+            .into_iter()
+            .map(|(name, p)| (name.to_string(), &nl, p))
+            .collect();
+        // A netlist without crossbars and one of crossbars only, so one of
+        // the two grids is empty: clumped, stacked, and snapped to their
+        // own coarse bucket edges (the largest virtual extent, `unit`)
+        // and one ulp either side of them.
+        let no_macros = netlist_of((0..200).map(|k| match k % 3 {
+            0 => CellKind::Synapse,
+            _ => CellKind::Neuron,
+        }));
+        let macros_only = netlist_of((0..60).map(|k| CellKind::Crossbar([64, 16, 32][k % 3])));
+        for (what, other, unit, side) in [
+            ("no crossbars", &no_macros, 2.4, 48.0),
+            ("crossbars only", &macros_only, big, 105.0),
+        ] {
+            let m = other.cells.len();
+            let clumped = (0..2 * m).map(|_| side * rng.gen_f64()).collect();
+            let stacked = (0..2 * m).map(|k| (k % 3) as f64 * 0.25).collect();
+            let edges = (0..2 * m)
+                .map(|k| {
+                    let v = (k % 9) as f64 * unit - 4.0 * unit;
+                    match k % 3 {
+                        0 => v,
+                        1 => f64::from_bits(v.to_bits() + 1),
+                        _ => f64::from_bits(v.to_bits() - 1),
+                    }
+                })
+                .collect();
+            for (layout, p) in [("clumped", clumped), ("stacked", stacked), ("edges", edges)] {
+                cases.push((format!("{what}, {layout}"), other, p));
+            }
+        }
+        // Every netlist spread along a single row and along a single
+        // column, so each grid is one bucket thick.
+        for (what, other, side) in [
+            ("mixed", &nl, 400.0),
+            ("no crossbars", &no_macros, 48.0),
+            ("crossbars only", &macros_only, 105.0),
+        ] {
+            let m = other.cells.len();
+            for (layout, axis) in [("row", 0), ("column", 1)] {
+                let mut p = vec![0.5; 2 * m];
+                for v in &mut p[axis * m..(axis + 1) * m] {
+                    *v = side * rng.gen_f64();
+                }
+                cases.push((format!("{what}, {layout}"), other, p));
+            }
+        }
+        for (name, nl, p) in &cases {
             let mut grad = vec![0.0; p.len()];
             assert!(
-                density_oracle(&nl, p, omega, &mut grad) > 0.0,
+                density_oracle(nl, p, omega, &mut grad) > 0.0,
                 "{name}: no overlap"
             );
             assert_matches_oracle(
                 name,
                 p,
-                |p, g| density(&nl, p, omega, g),
-                |p, g| density_oracle(&nl, p, omega, g),
+                |p, g| density(nl, p, omega, g, &mut PairWork::default()),
+                |p, g| density_oracle(nl, p, omega, g),
             );
         }
     }
@@ -1631,12 +1806,13 @@ mod tests {
         // Clump everything together so overlaps are active.
         let mut p: Vec<f64> = (0..2 * n).map(|i| (i as f64 * 0.37).cos() * 3.0).collect();
         let mut grad = vec![0.0; 2 * n];
-        let f0 = density(&nl, &p, 1.2, Some(&mut grad));
+        let work = &mut PairWork::default();
+        let f0 = density(&nl, &p, 1.2, Some(&mut grad), work);
         assert!(f0 > 0.0, "expected active overlaps");
         let h = 1e-6;
         for idx in 0..2 * n {
             p[idx] += h;
-            let f1 = density(&nl, &p, 1.2, None);
+            let f1 = density(&nl, &p, 1.2, None, work);
             p[idx] -= h;
             let fd = (f1 - f0) / h;
             assert!(
@@ -1659,8 +1835,8 @@ mod tests {
         p[n + 2] = f64::NEG_INFINITY;
         p[3] = 1e300;
         let mut grad = vec![0.0; 2 * n];
-        density(&nl, &p, 1.2, Some(&mut grad));
-        density(&nl, &p, 1.2, None);
+        density(&nl, &p, 1.2, Some(&mut grad), &mut PairWork::default());
+        density(&nl, &p, 1.2, None, &mut PairWork::default());
     }
 
     #[test]
@@ -1864,7 +2040,13 @@ mod tests {
         let n = nl.cells.len();
         let p0: Vec<f64> = gx.iter().chain(gy.iter()).copied().collect();
         let mut grad_d = vec![0.0; 2 * n];
-        density(&nl, &p0, 1.2, Some(&mut grad_d[..]));
+        density(
+            &nl,
+            &p0,
+            1.2,
+            Some(&mut grad_d[..]),
+            &mut PairWork::default(),
+        );
         assert!(
             grad_d.iter().all(|&g| g == 0.0),
             "precondition: the spread grid must have no density gradient"

@@ -139,6 +139,8 @@ fn trace_event_stream_is_golden_at_the_pinned_seed() {
             "isc.clusters_selected",
             "isc.connections_removed",
             "place.cg_iterations",
+            "place.density_candidates",
+            "place.density_pairs",
             "route.commits",
             "route.failed",
             "route.dead_end_hits",
