@@ -90,6 +90,7 @@ where
 /// Everything [`lanczos_largest`] returns, plus
 /// [`LinalgError::DimensionMismatch`] when `warm` has a row count other
 /// than `n`.
+// ncs-lint: hot
 pub fn lanczos_largest_seeded<F>(
     matvec: F,
     n: usize,
@@ -248,28 +249,34 @@ where
     let k_found = k.min(m);
     let mut values = Vec::with_capacity(k_found);
     let mut vectors = DenseMatrix::zeros(n, k_found);
+    // Each Ritz vector is summed in one contiguous buffer, then copied
+    // into its column of the row-major result: a column's entries lie
+    // `k_found` apart, so summing into them directly strides every add.
+    let mut ritz_vector = vec![0.0; n];
     for (col, &ritz) in order.iter().take(k_found).enumerate() {
         values.push(d[ritz]);
         // Ritz vector = Σ_j z[j][ritz] · basis_j.
+        ritz_vector.fill(0.0);
         for (j, b) in basis.iter().enumerate() {
             let coeff = z[(j, ritz)];
             // ncs-lint: allow(float-eq) — exact zero just skips a no-op axpy
             if coeff != 0.0 {
-                for (i, &bi) in b.iter().enumerate() {
-                    vectors[(i, col)] += coeff * bi;
-                }
+                axpy(coeff, b, &mut ritz_vector);
             }
         }
         // Normalize for safety (full reorthogonalization keeps this ~1).
-        let mut nrm = 0.0;
-        for i in 0..n {
-            nrm += vectors[(i, col)] * vectors[(i, col)];
-        }
-        let nrm = nrm.sqrt();
+        let nrm = norm(&ritz_vector);
         if nrm > 0.0 {
-            for i in 0..n {
-                vectors[(i, col)] /= nrm;
+            for x in &mut ritz_vector {
+                *x /= nrm;
             }
+        }
+        for (row, &x) in vectors
+            .as_mut_slice()
+            .chunks_exact_mut(k_found)
+            .zip(&ritz_vector)
+        {
+            row[col] = x;
         }
     }
     Ok((values, vectors))
