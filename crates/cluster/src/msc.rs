@@ -12,10 +12,12 @@ use crate::{kmeans, ClusterError, Clustering};
 pub const DENSE_EIGEN_MAX_N: usize = 512;
 
 /// Most Lanczos columns ISC and GCP embed a network in. The uncapped
-/// width reaches exactly 72 at 32 predicted clusters (2,048 neurons on
+/// width reaches exactly 48 at 20 predicted clusters (1,280 neurons on
 /// 64-wide crossbars), so the cap binds only on larger networks, where it
-/// keeps the `O(n·width)` Lanczos working set linear in `n`.
-const EMBED_WIDTH_MAX: usize = 72;
+/// keeps the `O(n·width)` Lanczos working set linear in `n`. On the
+/// 2,000-neuron block-sparse nets 48 columns map in about half the time
+/// of 72, onto fewer crossbars (DESIGN.md, "Sparse-first clustering").
+const EMBED_WIDTH_MAX: usize = 48;
 
 /// Lanczos embedding width for clustering `n` neurons into parts of at
 /// most `s ≥ 1`: twice the predicted cluster count `⌈n / s⌉` plus 8
@@ -538,12 +540,12 @@ mod tests {
     }
 
     #[test]
-    fn embedding_width_is_capped_at_72() {
-        // 2·⌈n/s⌉ + 8 reaches the cap at exactly 32 predicted clusters.
-        assert_eq!(embedding_width(31 * 64, 64), 70);
-        assert_eq!(embedding_width(32 * 64, 64), 72);
-        assert_eq!(embedding_width(32 * 64 + 1, 64), 72);
-        assert_eq!(embedding_width(20_000, 16), 72);
+    fn embedding_width_is_capped_at_48() {
+        // 2·⌈n/s⌉ + 8 reaches the cap at exactly 20 predicted clusters.
+        assert_eq!(embedding_width(19 * 64, 64), 46);
+        assert_eq!(embedding_width(20 * 64, 64), 48);
+        assert_eq!(embedding_width(20 * 64 + 1, 64), 48);
+        assert_eq!(embedding_width(20_000, 16), 48);
         // Never wider than the network.
         assert_eq!(embedding_width(1, 64), 1);
         assert_eq!(embedding_width(5, 64), 5);
@@ -556,7 +558,7 @@ mod tests {
     fn isc_and_gcp_embed_at_the_capped_width() {
         use crate::{gcp, CrossbarSizeSet, Isc, IscOptions};
         // ⌈1100 / 16⌉ = 69 predicted clusters ask for 146 columns; the
-        // cap holds both to 72, so Lanczos builds a 2·72 + 40 basis.
+        // cap holds both to 48, so Lanczos builds a 2·48 + 40 basis.
         let (net, _) = generators::block_sparse(1100, 16, 0.5, 1, 3).unwrap();
         let basis = |run: &dyn Fn()| {
             let ((), events) = ncs_trace::capture(run);
@@ -572,11 +574,11 @@ mod tests {
         let run_isc = || {
             Isc::new(one_iteration.clone()).run(&net).unwrap();
         };
-        assert_eq!(basis(&run_isc), Some((184, 184)), "ISC");
+        assert_eq!(basis(&run_isc), Some((136, 136)), "ISC");
         let run_gcp = || {
             gcp(&net, 16, 0).unwrap();
         };
-        assert_eq!(basis(&run_gcp), Some((184, 184)), "GCP");
+        assert_eq!(basis(&run_gcp), Some((136, 136)), "GCP");
     }
 
     #[test]
