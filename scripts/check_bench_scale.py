@@ -15,12 +15,17 @@ time and avoids dense n x n memory:
   Laplacian anywhere in the pipeline bursts through this immediately:
   at 20k neurons the cap is 800 MiB vs a 3.2 GiB dense matrix), and
   below an absolute ceiling of ``--max-peak-mib``.
+* **Quality**: at every size the mapping's outliers must stay at most
+  ``--max-outlier-pct`` (default 15) percent of the network's
+  connections, so a faster map cannot pass by leaving more connections
+  to discrete synapses. Unlike the timings, this share is deterministic.
 
 Memory gates are skipped (with a warning) when the artifact reports
 ``peak_rss_supported: false`` -- a non-Linux host without /proc.
 
 Usage:
     check_bench_scale.py [path/to/BENCH_scale.json] [--max-slope 1.85]
+                         [--max-outlier-pct 15]
 """
 
 import argparse
@@ -72,6 +77,12 @@ def main() -> int:
         default=1536.0,
         help="absolute peak-RSS ceiling for any size, in MiB",
     )
+    parser.add_argument(
+        "--max-outlier-pct",
+        type=float,
+        default=15.0,
+        help="maximum outlier share of any size's connections, in percent",
+    )
     args = parser.parse_args()
 
     with open(args.artifact, encoding="utf-8") as fh:
@@ -105,13 +116,21 @@ def main() -> int:
         # The mapping's quality next to its time: crossbars, and outliers
         # as a share of the connections.
         xbars = s.get("crossbars", "?")
-        outl = f"{100 * s['outliers'] / s['nnz']:.1f}" if "outliers" in s and s["nnz"] else "?"
+        share = 100 * s["outliers"] / s["nnz"] if "outliers" in s and s["nnz"] else None
+        outl = "?" if share is None else f"{share:.1f}"
         print(
             f"{n:>7} {s['nnz']:>10} {s['map_median_ns'] / 1e6:>10.1f} "
             f"{xbars:>6} {outl:>6} "
             f"{s['gen_median_ns'] / 1e6:>8.1f} {peak / 2**20:>9.1f} "
             f"{dense / 2**20:>10.1f} {frac:>10.3f}"
         )
+        if share is None:
+            failures.append(f"n={n}: no outlier share (needs 'outliers' and a nonzero 'nnz')")
+        elif share > args.max_outlier_pct:
+            failures.append(
+                f"n={n}: {share:.2f} % of the connections are outliers "
+                f"(limit {args.max_outlier_pct} %)"
+            )
         if mem_supported:
             if peak / 2**20 > args.max_peak_mib:
                 failures.append(
@@ -143,7 +162,10 @@ def main() -> int:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
 
-    print(f"OK: {len(sizes)} sizes, sub-quadratic time, O(nnz)-bounded memory")
+    print(
+        f"OK: {len(sizes)} sizes, sub-quadratic time, O(nnz)-bounded memory, "
+        f"outliers within {args.max_outlier_pct} %"
+    )
     return 0
 
 
