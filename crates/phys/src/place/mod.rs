@@ -453,32 +453,21 @@ const DENSITY_GRAIN: usize = 64;
 
 /// Folds one chunk's evaluation into the running `total` and, when a
 /// gradient is requested, into `grad`: `eval` accumulates the chunk's
-/// gradient into `scratch`, all zeros on entry, and returns its total.
+/// gradient into `scratch` (zeroed here first) and returns its total.
 /// Summing per chunk, then folding the chunks in order, is what fixes
 /// the rounding of both kernels.
-///
-/// `touched` names every cell whose entries `eval` may write, repeats
-/// allowed. Only their `x` and `y` entries are folded, each then zeroed,
-/// so `scratch` is all zeros again on exit. The result is that of folding
-/// all `2n` entries: the callers zero-fill `grad`, and sums that start at
-/// +0.0 are never −0.0, so adding an untouched or already folded entry's
-/// +0.0 changes nothing.
 fn fold_chunk(
     total: &mut f64,
     grad: Option<&mut [f64]>,
     scratch: &mut [f64],
-    touched: impl IntoIterator<Item = CellId>,
     eval: impl FnOnce(Option<&mut [f64]>) -> f64,
 ) {
     match grad {
         Some(g) => {
+            scratch.fill(0.0);
             *total += eval(Some(scratch));
-            let n = g.len() / 2;
-            for cell in touched {
-                for slot in [cell, n + cell] {
-                    g[slot] += scratch[slot];
-                    scratch[slot] = 0.0;
-                }
+            for (slot, s) in g.iter_mut().zip(scratch.iter()) {
+                *slot += s;
             }
         }
         None => *total += eval(None),
@@ -489,7 +478,7 @@ fn fold_chunk(
 /// accumulates the gradient into `grad` (layout `[∂x..., ∂y...]`).
 ///
 /// Each [`WL_GRAIN`]-wire chunk scatters its gradient into one `2n`
-/// scratch buffer, whose pin entries fold into `grad` in chunk order.
+/// scratch buffer, folded into `grad` in chunk order.
 // ncs-lint: hot
 fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, mut grad: Option<&mut [f64]>) -> f64 {
     let n = netlist.cells.len();
@@ -497,9 +486,7 @@ fn wa_wirelength(netlist: &Netlist, p: &[f64], gamma: f64, mut grad: Option<&mut
     let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
     let mut total = 0.0;
     for chunk in netlist.wires.chunks(WL_GRAIN) {
-        let pins = chunk.iter().flat_map(|wire| wire.pins);
-        let grad = grad.as_deref_mut();
-        fold_chunk(&mut total, grad, &mut scratch, pins, |mut g| {
+        fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
             let mut chunk_total = 0.0;
             for wire in chunk {
                 let [a, b] = wire.pins;
@@ -580,15 +567,11 @@ fn density(
     work.candidates += pairs.candidates;
     work.pairs += pairs.partners.len() as u64;
     // Each pair is charged to the [`DENSITY_GRAIN`]-cell chunk owning
-    // its smaller index `i`, which touches its cells and their partners.
+    // its smaller index `i`.
     let mut scratch = vec![0.0; if grad.is_some() { 2 * n } else { 0 }];
     let mut total = 0.0;
     for chunk in netlist.cells.chunks(DENSITY_GRAIN) {
-        let touched = chunk
-            .iter()
-            .flat_map(|cell| std::iter::once(cell.id).chain(pairs.of(cell.id).iter().copied()));
-        let grad = grad.as_deref_mut();
-        fold_chunk(&mut total, grad, &mut scratch, touched, |mut g| {
+        fold_chunk(&mut total, grad.as_deref_mut(), &mut scratch, |mut g| {
             let mut chunk_total = 0.0;
             for cell in chunk {
                 let i = cell.id;
