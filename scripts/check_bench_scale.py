@@ -16,22 +16,25 @@ time and avoids dense n x n memory:
   at 20k neurons the cap is 800 MiB vs a 3.2 GiB dense matrix), and
   below an absolute ceiling of ``--max-peak-mib``.
 * **Quality**: at every size the mapping's outliers must stay at most
-  ``--max-outlier-pct`` (default 15) percent of the network's
-  connections, so a faster map cannot pass by leaving more connections
-  to discrete synapses. Unlike the timings, this share is deterministic.
+  ``MAX_OUTLIER_PCT`` (15) percent of the network's connections, so a
+  faster map cannot pass by leaving more connections to discrete
+  synapses. Unlike the timings, this share is deterministic.
 
 Memory gates are skipped (with a warning) when the artifact reports
 ``peak_rss_supported: false`` -- a non-Linux host without /proc.
 
 Usage:
     check_bench_scale.py [path/to/BENCH_scale.json] [--max-slope 1.85]
-                         [--max-outlier-pct 15]
 """
 
 import argparse
 import json
 import math
 import sys
+
+# Largest share of any size's connections, in percent, that may be left
+# to outliers.
+MAX_OUTLIER_PCT = 15.0
 
 
 def fit_loglog_slope(xs, ys):
@@ -77,12 +80,6 @@ def main() -> int:
         default=1536.0,
         help="absolute peak-RSS ceiling for any size, in MiB",
     )
-    parser.add_argument(
-        "--max-outlier-pct",
-        type=float,
-        default=15.0,
-        help="maximum outlier share of any size's connections, in percent",
-    )
     args = parser.parse_args()
 
     with open(args.artifact, encoding="utf-8") as fh:
@@ -126,10 +123,10 @@ def main() -> int:
         )
         if share is None:
             failures.append(f"n={n}: no outlier share (needs 'outliers' and a nonzero 'nnz')")
-        elif share > args.max_outlier_pct:
+        elif share > MAX_OUTLIER_PCT:
             failures.append(
                 f"n={n}: {share:.2f} % of the connections are outliers "
-                f"(limit {args.max_outlier_pct} %)"
+                f"(limit {MAX_OUTLIER_PCT} %)"
             )
         if mem_supported:
             if peak / 2**20 > args.max_peak_mib:
@@ -164,7 +161,7 @@ def main() -> int:
 
     print(
         f"OK: {len(sizes)} sizes, sub-quadratic time, O(nnz)-bounded memory, "
-        f"outliers within {args.max_outlier_pct} %"
+        f"outliers within {MAX_OUTLIER_PCT} %"
     )
     return 0
 
