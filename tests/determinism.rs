@@ -458,73 +458,71 @@ fn msc_clustering_is_bit_identical_across_the_laplacian_cutoff() {
     );
 }
 
-/// One hash over every crossbar of a mapping (size, inputs, outputs,
-/// connections), then its outliers.
-fn mapping_hash(mapping: &ncs_cluster::HybridMapping) -> u64 {
-    let mut key = Vec::new();
-    for xbar in mapping.crossbars() {
-        key.push(xbar.size as f64);
-        for list in [&xbar.inputs, &xbar.outputs] {
-            key.push(list.len() as f64);
-            key.extend(list.iter().map(|&i| i as f64));
-        }
-        key.push(xbar.connections.len() as f64);
-        key.extend(
-            xbar.connections
-                .iter()
-                .flat_map(|&(f, t)| [f as f64, t as f64]),
-        );
-    }
-    key.push(mapping.outliers().len() as f64);
-    key.extend(
-        mapping
-            .outliers()
-            .iter()
-            .flat_map(|&(f, t)| [f as f64, t as f64]),
-    );
-    fnv1a_f64(&key)
-}
-
 #[test]
 fn sparse_isc_mapping_is_pinned() {
-    use ncs_cluster::{Isc, IscOptions, DENSE_EIGEN_MAX_N};
+    use ncs_cluster::{CrossbarSizeSet, Isc, IscOptions, DENSE_EIGEN_MAX_N};
     use ncs_net::generators;
     // 1,100 neurons sit above the dense/Lanczos threshold and GCP's
     // split-only threshold (1,024), so ISC runs the loop the large maps
     // run: a Lanczos embedding, warm-started after the first iteration,
-    // then bisection-only GCP. At 64-wide crossbars it asks for 44
-    // columns, under the width cap.
+    // then bisection-only GCP. On the paper's sizes (up to 64) the net
+    // asks for 2·18 + 8 = 44 columns, under the width cap; on 16-wide
+    // crossbars it asks for 2·69 + 8 = 146, so the cap binds in every
+    // iteration. One hash over every crossbar (size, inputs, outputs,
+    // connections), then the outliers.
     const {
         assert!(DENSE_EIGEN_MAX_N < 1100);
     }
-    let (net, _) = generators::block_sparse(1100, 64, 0.4, 1, 5).expect("valid generator spec");
-    let mapping = Isc::new(IscOptions::default())
-        .run(&net)
-        .expect("mapping succeeds");
-    let hash = mapping_hash(&mapping);
-    assert_eq!(
-        hash, 0xebac_1129_15c2_6361,
-        "sparse isc bits drifted from the pinned hash: {hash:#018x}"
-    );
-}
-
-#[test]
-fn capped_width_isc_mapping_is_pinned() {
-    use ncs_cluster::{CrossbarSizeSet, Isc, IscOptions};
-    use ncs_net::generators;
-    // On 16-wide crossbars 1,100 neurons ask for 2·69 + 8 = 146 columns,
-    // so the width cap binds in every iteration of the Lanczos loop.
-    let (net, _) = generators::block_sparse(1100, 16, 0.5, 1, 3).expect("valid generator spec");
-    let options = IscOptions {
-        sizes: CrossbarSizeSet::single(16).expect("valid size"),
-        ..IscOptions::default()
-    };
-    let mapping = Isc::new(options).run(&net).expect("mapping succeeds");
-    let hash = mapping_hash(&mapping);
-    assert_eq!(
-        hash, 0xa937_dc49_7d0f_d4c7,
-        "capped-width isc bits drifted from the pinned hash: {hash:#018x}"
-    );
+    // (case, block_sparse's block, inside density and seed, sizes, hash)
+    let cases = [
+        (
+            "paper sizes",
+            (64, 0.4, 5),
+            CrossbarSizeSet::paper(),
+            0xebac_1129_15c2_6361,
+        ),
+        (
+            "capped width",
+            (16, 0.5, 3),
+            CrossbarSizeSet::single(16).expect("valid size"),
+            0xa937_dc49_7d0f_d4c7,
+        ),
+    ];
+    for (case, (block, density, seed), sizes, pinned) in cases {
+        let (net, _) =
+            generators::block_sparse(1100, block, density, 1, seed).expect("valid generator spec");
+        let options = IscOptions {
+            sizes,
+            ..IscOptions::default()
+        };
+        let mapping = Isc::new(options).run(&net).expect("mapping succeeds");
+        let mut key = Vec::new();
+        for xbar in mapping.crossbars() {
+            key.push(xbar.size as f64);
+            for list in [&xbar.inputs, &xbar.outputs] {
+                key.push(list.len() as f64);
+                key.extend(list.iter().map(|&i| i as f64));
+            }
+            key.push(xbar.connections.len() as f64);
+            key.extend(
+                xbar.connections
+                    .iter()
+                    .flat_map(|&(f, t)| [f as f64, t as f64]),
+            );
+        }
+        key.push(mapping.outliers().len() as f64);
+        key.extend(
+            mapping
+                .outliers()
+                .iter()
+                .flat_map(|&(f, t)| [f as f64, t as f64]),
+        );
+        let hash = fnv1a_f64(&key);
+        assert_eq!(
+            hash, pinned,
+            "sparse isc bits drifted from the pinned hash ({case}): {hash:#018x}"
+        );
+    }
 }
 
 #[test]
